@@ -19,7 +19,7 @@ import numpy as np
 from workloads import STATE_MEANS, STATE_SDS, TOY_X, TOY_Y
 
 #: Tolerances of the toy check against the exact enumeration. At the toy's
-#: 30k sweeps the largest errors over chain seeds 4-19 were 0.015 (PPI) and
+#: 30k sweeps the largest errors over chain seeds 4-49 were 0.015 (PPI) and
 #: 0.013 (state).
 TOY_PPI_TOL = 0.03
 TOY_STATE_TOL = 0.035

@@ -1,23 +1,25 @@
 """Repeat the benchmark over several seeds and print its figures as Markdown.
 
-    python3 bench/report.py --seeds 10 --trace-seeds 3 --seconds 30
+    python3 bench/report.py
 
-For every workload this runs ``bench/run.py`` with ``--trace 0`` on seeds
-0 .. seeds-1 and with ``--trace 1`` on seeds 0 .. trace-seeds-1, then prints
-each end-to-end metric's median, quartiles and spread (the distance between
-the quartiles as a share of the median, as ``statistics.quantiles(n=4)``
-gives them) next to its bound in ``BENCHMARK.json``, and each per-layer
-metric's median. The raw results go to ``bench/out/report.json``.
+For every workload of ``BENCHMARK.json`` this runs ``bench/run.py`` for
+``run_seconds`` with ``--trace 0`` on seeds 0-9 and with ``--trace 1`` on
+seeds 0-2. It then prints each end-to-end metric's median, quartiles and
+spread (the distance between the quartiles as a share of the median, as
+``statistics.quantiles(n=4)`` gives them) next to its bound, and each
+per-layer metric's median. The raw results go to ``bench/out/report.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
 import subprocess
 import sys
+
+SEEDS = 10
+TRACE_SEEDS = 3
 
 
 def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -38,25 +40,18 @@ def spread(values: list[float]) -> tuple[float, float, float, float]:
     return med, q1, q3, (q3 - q1) / med
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--trace-seeds", type=int, default=3)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--workload", action="append", default=None)
-    args = parser.parse_args(argv)
+def main() -> int:
     with open("BENCHMARK.json", "r", encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     raw: dict = {}
     for w in workloads:
-        plain = [run_once(w, s, seconds, 0) for s in range(args.seeds)]
-        traced = [run_once(w, s, seconds, 1) for s in range(args.trace_seeds)]
+        plain = [run_once(w, s, seconds, 0) for s in range(SEEDS)]
+        traced = [run_once(w, s, seconds, 1) for s in range(TRACE_SEEDS)]
         raw[w] = {"trace0": plain, "trace1": traced}
-        print(f"\n### `{w}` ({args.seeds} runs of {seconds} s, seeds 0-{args.seeds - 1})\n")
+        print(f"\n### `{w}` ({SEEDS} runs of {seconds} s, seeds 0-{SEEDS - 1})\n")
         ops = plain[0]
         print(f"Operations per run: {ops['attempted']} attempted, {ops['failed']} failed "
               f"(first run).\n")
@@ -64,17 +59,16 @@ def main(argv=None) -> int:
         print("|---|---|---|---|---|---|---|")
         for name in plain[0]["metrics"]:
             values = [r["metrics"][name]["value"] for r in plain]
-            med, q1, q3, sp = spread(values) if len(values) > 1 else (values[0], 0, 0, 0)
+            med, q1, q3, sp = spread(values)
             print(f"| `{name}` | {plain[0]['metrics'][name]['unit']} | {med:.4g} | "
-                  f"{q1:.4g} | {q3:.4g} | {sp:.1%} | {bounds.get(name, float('nan')):.0%} |")
-        if traced:
-            print(f"\nPer layer, median of {len(traced)} traced runs:\n")
-            print("| metric | unit | median |")
-            print("|---|---|---|")
-            for name in traced[0]["metrics"]:
-                values = [r["metrics"][name]["value"] for r in traced]
-                print(f"| `{name}` | {traced[0]['metrics'][name]['unit']} | "
-                      f"{statistics.median(values):.4g} |")
+                  f"{q1:.4g} | {q3:.4g} | {sp:.1%} | {bounds[name]:.0%} |")
+        print(f"\nPer layer, median of {TRACE_SEEDS} traced runs:\n")
+        print("| metric | unit | median |")
+        print("|---|---|---|")
+        for name in traced[0]["metrics"]:
+            values = [r["metrics"][name]["value"] for r in traced]
+            print(f"| `{name}` | {traced[0]['metrics'][name]['unit']} | "
+                  f"{statistics.median(values):.4g} |")
     os.makedirs(os.path.join("bench", "out"), exist_ok=True)
     with open(os.path.join("bench", "out", "report.json"), "w", encoding="utf-8") as fh:
         json.dump(raw, fh, indent=1)

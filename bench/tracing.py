@@ -136,10 +136,12 @@ class Recorder:
             for i, label in enumerate(self.labels)
         }
 
-    def self_seconds_within(self, t0: float, t1: float) -> float:
-        """Summed self time of the spans that started in [t0, t1]."""
-        _, start, _, self_s = self._durations()
-        return float(self_s[(start >= t0) & (start <= t1)].sum())
+    def self_seconds_within(self, t0: float, t1: float, exclude) -> float:
+        """Summed self time of the spans that started in [t0, t1], leaving
+        out the spans with a label in ``exclude``."""
+        name, start, _, self_s = self._durations()
+        skip = np.isin(name, [self._ids[label] for label in exclude])
+        return float(self_s[(start >= t0) & (start <= t1) & ~skip].sum())
 
     def save(self, path: str) -> None:
         name, parent, start, end = self.arrays()
