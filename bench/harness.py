@@ -7,11 +7,13 @@ passed (at least two, so every run checks that reruns are byte-identical).
 A round is: the timed set-up calls, ``cnvlink fit``, then ``cnvlink
 summarize`` and ``cnvlink diagnose`` repeated a few times (where one pass is
 short) into fresh directories, all through ``cnvlink.cli.main``, then every
-check. Each command and each check is one operation.
+check. Each command and each check is one operation. The fit and each
+summarize-plus-diagnose pass are measured both in wall time and in user-mode
+instructions retired (:mod:`counters`).
 
 With ``--trace 1`` rounds alternate untraced and traced; the traced ones
 give the per-layer metrics, and the difference of the two kinds' median
-``fit_s`` is the tracing overhead.
+instruction count of the fit is the tracing overhead.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import checks
+import counters
 import tracing
 from workloads import WORKLOADS, Workload
 
@@ -84,29 +87,35 @@ def _cli(args: list[str], log) -> bool:
 
 
 def run_round(dirs: RoundDirs, seed: int, reference: dict | None, recorder, log) -> dict:
-    """One round; ``post_s`` holds one time per repeat of summarize plus
-    diagnose, each into its own directory. With a recorder, the fit and the
-    first repeat are traced."""
+    """One round; ``post_s`` and ``post_instr`` hold one figure per repeat of
+    summarize plus diagnose, each into its own directory. With a recorder,
+    the fit and the first repeat are traced."""
     w = dirs.workload
+    counter = counters.InstructionCounter()
     fit_args = ["fit", "--data.dir", dirs.data_dir, "--out", dirs.fit_dir]
     for key, value in w.fit_config(seed).items():
         fit_args += ["--set", f"{key}={value}"]
     post_dirs = [dirs.post_dir] + [f"{dirs.post_dir}{j}" for j in range(1, w.post_repeats)]
     ops: list[tuple[str, str | None]] = []
-    post_s = []
+    post_s, post_instr = [], []
     for j, post_dir in enumerate(post_dirs):
         traced = recorder is not None and j == 0
         with tracing.traced(recorder) if traced else nullcontext():
             if j == 0:
+                i0 = counter.read()
                 t0 = time.perf_counter()
                 ok = _cli(fit_args, log)
                 t1 = time.perf_counter()
+                fit_instr = counter.read() - i0
                 ops.append(("fit", None if ok else "cnvlink fit exited non-zero"))
+            i0 = counter.read()
             start = time.perf_counter()
             for cmd in ("summarize", "diagnose"):
                 ok = _cli([cmd, dirs.fit_dir, "--out", post_dir], log)
                 ops.append((cmd, None if ok else f"cnvlink {cmd} exited non-zero"))
             post_s.append(time.perf_counter() - start)
+            post_instr.append(counter.read() - i0)
+    counter.close()
     # the process's peak so far, before any check adds its own arrays
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     for name in w.check_names:
@@ -122,7 +131,10 @@ def run_round(dirs: RoundDirs, seed: int, reference: dict | None, recorder, log)
         ops.append(("identical", None))
     except (checks.CheckFailed, OSError) as err:
         ops.append(("identical", str(err)))
-    out = {"fit_s": t1 - t0, "post_s": post_s, "rss_mb": rss_mb, "ops": ops, "digests": digests}
+    out = {
+        "fit_s": t1 - t0, "fit_instr": fit_instr, "post_s": post_s, "post_instr": post_instr,
+        "rss_mb": rss_mb, "ops": ops, "digests": digests,
+    }
     if recorder is not None:
         out["layers"] = layer_metrics(recorder, w, dirs.fit_dir, t0, t1)
     return out
@@ -248,17 +260,26 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool) -> dict:
             }
             for name in names
         }
-        metrics["trace.overhead_s"] = {
-            "value": statistics.median(r["fit_s"] for r in traced_rounds)
-            - statistics.median(r["fit_s"] for r in plain),
-            "unit": "s",
+        metrics["trace.overhead_ginstr"] = {
+            "value": (statistics.median(r["fit_instr"] for r in traced_rounds)
+                      - statistics.median(r["fit_instr"] for r in plain)) / 1e9,
+            "unit": "Ginstr",
+        }
+        metrics["fit.wall_s"] = {"value": statistics.median(r["fit_s"] for r in plain), "unit": "s"}
+        metrics["post.wall_s"] = {
+            "value": statistics.median(t for r in plain for t in r["post_s"]), "unit": "s"
         }
     else:
         metrics = {
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "fit_s": {"value": statistics.median(r["fit_s"] for r in plain), "unit": "s"},
-            "post_s": {
-                "value": statistics.median(t for r in plain for t in r["post_s"]), "unit": "s"
+            # the lowest tenth of the calls: the calls that other tenants'
+            # load slowed least
+            "setup_s": {"value": statistics.quantiles(setup, n=10)[0], "unit": "s"},
+            "fit_ginstr": {
+                "value": statistics.median(r["fit_instr"] for r in plain) / 1e9, "unit": "Ginstr"
+            },
+            "post_ginstr": {
+                "value": statistics.median(i for r in plain for i in r["post_instr"]) / 1e9,
+                "unit": "Ginstr",
             },
             "peak_rss_mb": {"value": rounds[0]["rss_mb"], "unit": "MB"},
         }

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 bench/run.py --workload toy --seed 0 --seconds 30 --trace 0
+    python3 bench/run.py --workload toy --seed 0 --seconds 20 --trace 0
     python3 bench/run.py            # every workload, one after another
 
 Each workload runs in a child process (``bench/harness.py``) with numpy's
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, default=None,
                         help="one workload (default: all, in order)")
     parser.add_argument("--seed", type=int, default=0, help="offset of the chain seeds")
-    parser.add_argument("--seconds", type=float, default=30.0,
+    parser.add_argument("--seconds", type=float, default=20.0,
                         help="measure whole rounds for this long (at least two rounds)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1 reports the per-layer metrics of a traced run")
