@@ -6,6 +6,9 @@ likelihood, the dependent selection prior, the sampler, posterior
 summarization, synthetic data generation, and convergence diagnostics. File
 formats and the command line live in :mod:`cnvlink.matrixio`,
 :mod:`cnvlink.config`, and :mod:`cnvlink.cli`.
+
+The selection prior has one implementation, :func:`cnvlink.priors.site_log_probs`;
+:func:`log_assoc_prior` and the sampler's moves and monitor all call it.
 """
 
 __version__ = "0.1.0"
@@ -17,10 +20,7 @@ from .model import (
     N_STATES,
     NEUTRAL,
     STATE_NAMES,
-    AssociationMatrix,
     HmmHyper,
-    HmmParams,
-    LatentStateMatrix,
     NumericalError,
     ObservedData,
     RegressionHyper,
@@ -30,22 +30,17 @@ from .model import (
     validate,
 )
 from .likelihood import (
-    GeneLikelihoodWork,
-    gene_likelihood_work,
     log_emission,
     log_marginal_likelihood,
     log_state_prior,
     stationary_distribution,
 )
 from .priors import (
-    PersistenceWeights,
     log_assoc_prior,
     mixture_weights,
     persistence_weights,
     sample_truncated_gamma,
     sample_truncated_normal,
-    site_inclusion_logprob,
-    site_inclusion_prob,
 )
 from .sampler import (
     ChainState,
@@ -89,21 +84,16 @@ __all__ = [
     "N_STATES",
     "NEUTRAL",
     "STATE_NAMES",
-    "AssociationMatrix",
     "ChainState",
     "ChainTrace",
     "Checkpoint",
     "EvalMetrics",
-    "GeneLikelihoodWork",
     "GroundTruth",
     "HWResult",
     "HmmHyper",
-    "HmmParams",
     "Kernel",
-    "LatentStateMatrix",
     "NumericalError",
     "ObservedData",
-    "PersistenceWeights",
     "PosteriorSummary",
     "RegressionHyper",
     "SamplerConfig",
@@ -113,7 +103,6 @@ __all__ = [
     "ValidationError",
     "bfdr_select",
     "evaluate",
-    "gene_likelihood_work",
     "geweke",
     "heidelberger_welch",
     "log_assoc_prior",
@@ -134,8 +123,6 @@ __all__ = [
     "simulate_expression",
     "simulate_signals",
     "simulate_states",
-    "site_inclusion_logprob",
-    "site_inclusion_prob",
     "stationary_distribution",
     "summarize",
     "validate",

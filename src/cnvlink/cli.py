@@ -290,23 +290,18 @@ def _write_selected_pairs(path, summary, genes, probes) -> None:
 
 
 def _write_acceptance(path, acceptance: dict) -> None:
-    pairs = [
-        ("add", "add_proposed", "add_accepted"),
-        ("delete", "delete_proposed", "delete_accepted"),
-        ("swap", "swap_proposed", "swap_accepted"),
-        ("state", "state_proposed", "state_accepted"),
-        ("trans", "trans_proposed", "trans_accepted"),
-    ]
+    """One line per move (each ``<move>_proposed``/``<move>_accepted`` pair of
+    the counters, in their order), then one per remaining counter."""
     lines = ["move\tproposed\taccepted\trate"]
-    for name, prop_key, acc_key in pairs:
-        prop = int(acceptance.get(prop_key, 0))
-        acc = int(acceptance.get(acc_key, 0))
+    moves = [key[: -len("_proposed")] for key in acceptance if key.endswith("_proposed")]
+    for move in moves:
+        prop = int(acceptance[f"{move}_proposed"])
+        acc = int(acceptance[f"{move}_accepted"])
         rate = acc / prop if prop else float("nan")
-        lines.append(f"{name}\t{prop}\t{acc}\t{format_value(rate)}")
-    lines.append(f"assoc_noop\t{int(acceptance.get('assoc_noop', 0))}\t0\tnan")
-    lines.append(
-        f"trans_degenerate\t{int(acceptance.get('trans_degenerate', 0))}\t0\tnan"
-    )
+        lines.append(f"{move}\t{prop}\t{acc}\t{format_value(rate)}")
+    for key, count in acceptance.items():
+        if not key.endswith(("_proposed", "_accepted")):
+            lines.append(f"{key}\t{int(count)}\t0\tnan")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

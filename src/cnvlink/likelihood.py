@@ -15,12 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .model import (
-    LatentStateMatrix,
-    NumericalError,
-    RegressionHyper,
-    ValidationError,
-)
+from .model import NumericalError, RegressionHyper, ValidationError
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -65,10 +60,9 @@ def collapsed_loglik_from_parts(
     ``z`` holds the selected columns as floats (n, k); ``swept_y`` is the
     intercept-swept response and ``quad_y`` its swept self-product. With no
     columns selected the Gram determinant is empty and the quadratic form is
-    ``quad_y`` itself.
+    ``quad_y`` itself. ``hyper.resid_scale`` must be resolved (see
+    :func:`~cnvlink.model.validate`).
     """
-    if hyper.resid_scale is None:
-        raise ValidationError("resid_scale is unresolved; run validate() first")
     n = swept_y.shape[0]
     k = z.shape[1] if z.ndim == 2 else 0
     if k:
@@ -102,56 +96,6 @@ def collapsed_loglik_from_parts(
     )
 
 
-@dataclass(frozen=True)
-class GeneLikelihoodWork:
-    """Intermediate quantities of one gene's collapsed likelihood: the
-    intercept-sweep operator, the number of selected columns, the regularized
-    Gram matrix of the selected columns, and the residual quadratic form."""
-
-    sweep: object
-    n_selected: int
-    gram: np.ndarray
-    quad: float
-
-
-def gene_likelihood_work(
-    y: np.ndarray,
-    xi,
-    r_row: np.ndarray,
-    hyper: RegressionHyper,
-) -> GeneLikelihoodWork:
-    """Expose the building blocks of :func:`log_marginal_likelihood` for one
-    gene, for inspection and testing."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    states = np.asarray(getattr(xi, "states", xi))
-    sel = np.flatnonzero(np.asarray(r_row))
-    z = states[:, sel].astype(np.float64)
-    k = z.shape[1]
-    swept_y = sweep_intercept(y, hyper.intercept_prec)
-    quad_y = float(y @ swept_y)
-    gram = hyper.slab_prec * np.eye(k) + z.T @ sweep_intercept(z, hyper.intercept_prec)
-    if k:
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"regression Gram matrix of order {k} is not positive definite"
-            ) from None
-        w = solve_triangular(chol, z.T @ swept_y, lower=True)
-        quad = quad_y - float(w @ w)
-    else:
-        quad = quad_y
-    if quad < -1e-8 * max(quad_y, 1.0):
-        raise NumericalError(f"collapsed quadratic form went negative: {quad}")
-
-    def sweep(values: np.ndarray) -> np.ndarray:
-        return sweep_intercept(values, hyper.intercept_prec)
-
-    gram = gram.copy()
-    gram.flags.writeable = False
-    return GeneLikelihoodWork(sweep=sweep, n_selected=k, gram=gram, quad=max(quad, 0.0))
-
-
 def log_marginal_likelihood(
     y: np.ndarray,
     xi,
@@ -160,8 +104,10 @@ def log_marginal_likelihood(
 ) -> float:
     """Marginal log likelihood of one gene's responses given the state matrix
     and that gene's inclusion row."""
+    if hyper.resid_scale is None:
+        raise ValidationError("resid_scale is unresolved; run validate() first")
     y = np.asarray(y, dtype=np.float64).ravel()
-    states = np.asarray(getattr(xi, "states", xi))
+    states = np.asarray(xi)
     if states.shape[0] != y.shape[0]:
         raise ValidationError(
             f"y has {y.shape[0]} samples but states has {states.shape[0]} rows"
@@ -173,15 +119,14 @@ def log_marginal_likelihood(
         )
     sel = np.flatnonzero(r_row)
     z = states[:, sel].astype(np.float64)
-    swept_y = sweep_intercept(y, hyper.intercept_prec)
-    quad_y = float(y @ swept_y)
-    return collapsed_loglik_from_parts(z, swept_y, quad_y, hyper)
+    pre = precompute_responses(y[:, None], hyper.intercept_prec)
+    return collapsed_loglik_from_parts(z, pre.swept[:, 0], float(pre.quad[0]), hyper)
 
 
 def log_emission(x: np.ndarray, xi, means: np.ndarray, sds: np.ndarray) -> float:
     """Total Gaussian log density of the log-ratios given the state matrix."""
     x = np.asarray(x, dtype=np.float64)
-    states = np.asarray(getattr(xi, "states", xi))
+    states = np.asarray(xi)
     if x.shape != states.shape:
         raise ValidationError(f"x shape {x.shape} does not match states shape {states.shape}")
     means = np.asarray(means, dtype=np.float64)
@@ -200,7 +145,7 @@ def log_state_prior(xi, trans: np.ndarray, stat_dist: np.ndarray) -> float:
     Accepts a full matrix or a single row; a length-one row contributes only
     its initial-law term.
     """
-    states = np.asarray(getattr(xi, "states", xi))
+    states = np.asarray(xi)
     if states.ndim == 1:
         states = states.reshape(1, -1)
     trans = np.asarray(trans, dtype=np.float64)

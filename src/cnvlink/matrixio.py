@@ -12,6 +12,7 @@ shape; the remaining sections are the arrays' raw bytes in header order.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,25 +27,10 @@ from .sampler import Checkpoint
 CHECKPOINT_MAGIC = b"CVLK"
 CHECKPOINT_VERSION = 1
 
-_SCALAR_FIELDS = ("iteration", "iterations", "burn_in", "thin", "seed", "kept")
-_ARRAY_FIELDS = (
-    "assoc",
-    "states",
-    "trans",
-    "means",
-    "sds",
-    "stat_dist",
-    "gene_loglik",
-    "persist_counts",
-    "assoc_counts",
-    "state_counts",
-    "means_samples",
-    "sds_samples",
-    "trans_samples",
-    "assoc_size",
-    "occupancy",
-    "log_posterior",
-)
+#: Checkpoint fields by kind, in declaration order: integers and dicts go in
+#: the header, arrays in their own sections (the annotations are strings).
+_HEADER_FIELDS = tuple(f.name for f in dataclasses.fields(Checkpoint) if f.type != "np.ndarray")
+_ARRAY_SECTIONS = tuple(f.name for f in dataclasses.fields(Checkpoint) if f.type == "np.ndarray")
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -126,7 +112,20 @@ def read_matrix_tsv(path: str, dtype=np.float64):
             )
         row_labels.append(parts[0])
         rows.append(parts[1:])
-    matrix = np.array(rows, dtype=dtype)
+    try:
+        matrix = np.array(rows, dtype=dtype)
+    except ValueError:
+        convert = np.dtype(dtype).type
+        for label, cells in zip(row_labels, rows):
+            for col, cell in zip(col_labels, cells):
+                try:
+                    convert(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row '{label}', column '{col}': cell {cell!r} is not "
+                        f"a valid {np.dtype(dtype).name}"
+                    ) from None
+        raise
     return matrix, row_labels, col_labels
 
 
@@ -145,12 +144,10 @@ def config_hash(mapping: dict) -> str:
 
 
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
-    header = {name: int(getattr(checkpoint, name)) for name in _SCALAR_FIELDS}
-    header["rng_state"] = checkpoint.rng_state
-    header["stats"] = checkpoint.stats
+    header = {name: getattr(checkpoint, name) for name in _HEADER_FIELDS}
     arrays = []
     blobs = []
-    for name in _ARRAY_FIELDS:
+    for name in _ARRAY_SECTIONS:
         arr = np.ascontiguousarray(getattr(checkpoint, name))
         arrays.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
@@ -195,14 +192,12 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: checkpoint header lists {len(specs)} arrays but "
             f"{len(sections) - 1} sections follow"
         )
-    fields = {name: header[name] for name in _SCALAR_FIELDS}
-    fields["rng_state"] = header["rng_state"]
-    fields["stats"] = header["stats"]
+    fields = {name: header[name] for name in _HEADER_FIELDS}
     for spec, blob in zip(specs, sections[1:]):
         arr = np.frombuffer(blob, dtype=np.dtype(spec["dtype"]))
         arr = arr.reshape(tuple(spec["shape"])).copy()
         fields[spec["name"]] = arr
-    missing = set(_ARRAY_FIELDS) - set(fields)
+    missing = set(_ARRAY_SECTIONS) - set(fields)
     if missing:
         raise ValidationError(f"{path}: checkpoint missing arrays {sorted(missing)}")
     return Checkpoint(**fields)

@@ -123,42 +123,6 @@ class ObservedData:
 
 
 @dataclass(frozen=True)
-class LatentStateMatrix:
-    """Per-sample, per-probe copy-number states in {1=loss, 2=neutral, 3=gain, 4=amp}."""
-
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        states = _frozen_array(self.states, np.int8, "states")
-        if states.ndim != 2:
-            raise ValidationError(f"states must be 2-d, got ndim={states.ndim}")
-        bad = (states < 1) | (states > N_STATES)
-        if np.any(bad):
-            idx = tuple(int(v) for v in np.argwhere(bad)[0])
-            raise ValidationError(
-                f"states entries must lie in 1..{N_STATES}; offending index {idx}"
-            )
-        object.__setattr__(self, "states", states)
-
-
-@dataclass(frozen=True)
-class AssociationMatrix:
-    """Binary gene-by-probe inclusion indicators."""
-
-    included: np.ndarray
-
-    def __post_init__(self) -> None:
-        inc = _frozen_array(self.included, np.int8, "included")
-        if inc.ndim != 2:
-            raise ValidationError(f"included must be 2-d, got ndim={inc.ndim}")
-        bad = (inc != 0) & (inc != 1)
-        if np.any(bad):
-            idx = tuple(int(v) for v in np.argwhere(bad)[0])
-            raise ValidationError(f"included entries must be 0/1; offending index {idx}")
-        object.__setattr__(self, "included", inc)
-
-
-@dataclass(frozen=True)
 class HmmHyper:
     """Hyperparameters of the hidden-state chain's emission and transition priors.
 
@@ -218,63 +182,6 @@ class HmmHyper:
         object.__setattr__(self, "eta_low", low)
         object.__setattr__(self, "eta_high", high)
         object.__setattr__(self, "amp_floor_tracks_gain", bool(self.amp_floor_tracks_gain))
-
-
-@dataclass(frozen=True)
-class HmmParams:
-    """Current hidden-chain parameters: transition matrix, emission means/sds,
-    and the stationary distribution used as the initial state law."""
-
-    trans: np.ndarray
-    means: np.ndarray
-    sds: np.ndarray
-    stat_dist: np.ndarray
-
-    def __post_init__(self) -> None:
-        trans = _frozen_array(self.trans, np.float64, "trans")
-        means = _frozen_array(self.means, np.float64, "means")
-        sds = _frozen_array(self.sds, np.float64, "sds")
-        stat = _frozen_array(self.stat_dist, np.float64, "stat_dist")
-        _require_shape(trans, (N_STATES, N_STATES), "trans")
-        _require_shape(means, (N_STATES,), "means")
-        _require_shape(sds, (N_STATES,), "sds")
-        _require_shape(stat, (N_STATES,), "stat_dist")
-        for name, arr in (("trans", trans), ("means", means), ("sds", sds), ("stat_dist", stat)):
-            _require_finite(arr, name)
-        if np.any(trans <= 0):
-            idx = tuple(int(v) for v in np.argwhere(trans <= 0)[0])
-            raise ValidationError(f"trans entries must be strictly positive; offending index {idx}")
-        rows = trans.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
-            h = int(np.argmax(np.abs(rows - 1.0)))
-            raise ValidationError(f"trans row {h} sums to {rows[h]!r}, not 1")
-        if np.any(sds <= 0):
-            j = int(np.flatnonzero(sds <= 0)[0])
-            raise ValidationError(f"sds[{j}] must be strictly positive, got {sds[j]}")
-        if abs(float(stat.sum()) - 1.0) > 1e-10:
-            raise ValidationError(f"stat_dist sums to {float(stat.sum())!r}, not 1")
-        resid = float(np.max(np.abs(stat @ trans - stat)))
-        if resid > 1e-10:
-            raise ValidationError(
-                f"stat_dist is not stationary for trans (residual {resid:.3e} > 1e-10)"
-            )
-        object.__setattr__(self, "trans", trans)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "sds", sds)
-        object.__setattr__(self, "stat_dist", stat)
-
-    def check_bounds(self, hyper: HmmHyper) -> None:
-        """Verify means lie strictly inside their static bounds and sds respect the caps."""
-        for j in range(N_STATES):
-            if not (hyper.eta_low[j] < self.means[j] < hyper.eta_high[j]):
-                raise ValidationError(
-                    f"means[{j}]={self.means[j]} outside "
-                    f"({hyper.eta_low[j]}, {hyper.eta_high[j]})"
-                )
-            if self.sds[j] > hyper.sd_cap[j] * (1 + 1e-12):
-                raise ValidationError(
-                    f"sds[{j}]={self.sds[j]} exceeds cap {hyper.sd_cap[j]}"
-                )
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ an inclusion matrix is the product of the one-site conditionals
 (pseudo-likelihood), which keeps Metropolis ratios local: a state change only
 moves the site terms at the two columns flanking each gap whose persistence
 count changed (for a change in one column: that column and its neighbors).
+
+:func:`site_log_probs` is the one implementation of the one-site conditional:
+:func:`log_assoc_prior`, the sampler's inclusion and state moves and its
+``log_posterior`` monitor all evaluate the prior through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln, log_ndtr, ndtr, ndtri
@@ -23,64 +26,8 @@ from .model import RegressionHyper, ValidationError
 # zero must divide to exactly 1.0, and the constants differ in the last bit.
 E_MINUS_ONE = float(np.expm1(1.0))
 LOG_TINY = math.log(1e-300)
-
-
-@dataclass(frozen=True)
-class PersistenceWeights:
-    """Per-column mixture weights of the selection prior.
-
-    ``adjacency[m]`` scores the gap between probes m and m+1 (length M-1);
-    ``fresh``, ``copy_left``, ``copy_right`` (length M) weight drawing a fresh
-    inclusion flag versus copying the left or right neighbor's flag. At every
-    column the three weights sum to one; boundary columns always draw fresh.
-    """
-
-    adjacency: np.ndarray
-    fresh: np.ndarray
-    copy_left: np.ndarray
-    copy_right: np.ndarray
-
-    def __post_init__(self) -> None:
-        adjacency = np.asarray(self.adjacency, dtype=np.float64)
-        fresh = np.asarray(self.fresh, dtype=np.float64)
-        copy_left = np.asarray(self.copy_left, dtype=np.float64)
-        copy_right = np.asarray(self.copy_right, dtype=np.float64)
-        n_probes = fresh.shape[0]
-        if adjacency.shape != (n_probes - 1,):
-            raise ValidationError(
-                f"adjacency must have length {n_probes - 1}, got {adjacency.shape}"
-            )
-        for name, arr in (
-            ("adjacency", adjacency),
-            ("fresh", fresh),
-            ("copy_left", copy_left),
-            ("copy_right", copy_right),
-        ):
-            if np.any(~np.isfinite(arr)) or np.any(arr < 0) or np.any(arr > 1):
-                raise ValidationError(f"{name} entries must lie in [0, 1]")
-        total = fresh + copy_left + copy_right
-        if np.any(np.abs(total - 1.0) > 1e-12):
-            m = int(np.argmax(np.abs(total - 1.0)))
-            raise ValidationError(
-                f"weights at column {m} sum to {total[m]!r}, not 1"
-            )
-        if copy_left[0] != 0.0:
-            raise ValidationError("copy_left must vanish at the first column")
-        if copy_right[-1] != 0.0:
-            raise ValidationError("copy_right must vanish at the last column")
-        for name, arr in (
-            ("adjacency", adjacency),
-            ("fresh", fresh),
-            ("copy_left", copy_left),
-            ("copy_right", copy_right),
-        ):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_probes(self) -> int:
-        return self.fresh.shape[0]
+#: Largest standardized bound the tail sampler takes; it squares the bound.
+TAIL_LIMIT = 1e150
 
 
 def gap_decay(gaps: np.ndarray, fragment_length: float) -> np.ndarray:
@@ -99,32 +46,37 @@ def gap_decay(gaps: np.ndarray, fragment_length: float) -> np.ndarray:
     return np.expm1(1.0 - gaps / fragment_length) / E_MINUS_ONE
 
 
-def persistence_weights(xi, pos: np.ndarray, fragment_length: float) -> np.ndarray:
-    """Adjacency score per gap: the distance-decayed fraction of samples whose
+def persistence_counts(states: np.ndarray) -> np.ndarray:
+    """Per inter-probe gap, the number of rows whose state persists across it."""
+    return (states[:, 1:] == states[:, :-1]).sum(axis=0, dtype=np.int64)
+
+
+def adjacency(decay: np.ndarray, counts: np.ndarray, n_rows: int) -> np.ndarray:
+    """Adjacency score per gap: the distance-decayed fraction of rows whose
     state persists across it. Values lie in [0, 1]."""
-    states = np.asarray(getattr(xi, "states", xi))
+    return decay * (counts / n_rows)
+
+
+def persistence_weights(xi, pos: np.ndarray, fragment_length: float) -> np.ndarray:
+    """Adjacency scores of a state matrix with probe coordinates ``pos``."""
+    states = np.asarray(xi)
     pos = np.asarray(pos, dtype=np.float64)
     if pos.shape != (states.shape[1],):
         raise ValidationError(
             f"pos must have one coordinate per probe ({states.shape[1]}), got {pos.shape}"
         )
     decay = gap_decay(np.diff(pos), fragment_length)
-    persist = (states[:, 1:] == states[:, :-1]).mean(axis=0)
-    return decay * persist
+    return adjacency(decay, persistence_counts(states), states.shape[0])
 
 
-def mixture_weights(s: np.ndarray, alpha: float) -> PersistenceWeights:
-    """Build per-column weights from adjacency scores ``s`` (length M-1).
+def mixture_weights(s: np.ndarray, alpha: float):
+    """Per-column weights ``(fresh, copy_left, copy_right)`` (length M) from
+    adjacency scores ``s`` (length M-1).
 
     Interior columns split mass as alpha : s_left : s_right. Boundary columns
     have no flank on one side, so their copy weights are zero and the fresh
     weight is one. An infinite ``alpha`` gives the spatially independent prior.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValidationError(f"adjacency scores must be a vector, got ndim={s.ndim}")
-    if np.any(~np.isfinite(s)) or np.any(s < 0) or np.any(s > 1):
-        raise ValidationError("adjacency scores must lie in [0, 1]")
     n_probes = s.shape[0] + 1
     fresh = np.ones(n_probes)
     copy_left = np.zeros(n_probes)
@@ -136,70 +88,34 @@ def mixture_weights(s: np.ndarray, alpha: float) -> PersistenceWeights:
         fresh[1:-1] = alpha / den
         copy_left[1:-1] = s_left / den
         copy_right[1:-1] = s_right / den
-    return PersistenceWeights(
-        adjacency=s, fresh=fresh, copy_left=copy_left, copy_right=copy_right
-    )
+    return fresh, copy_left, copy_right
 
 
-def site_inclusion_prob(
-    r: int,
-    left: int | None,
-    right: int | None,
-    fresh: float,
-    copy_left: float,
-    copy_right: float,
-    incl_a: float,
-    incl_b: float,
-) -> float:
-    """Probability of inclusion flag ``r`` at one site given its horizontal
-    neighbors. ``left``/``right`` are None at the chromosome ends. The fresh
-    component integrates the Beta hyperprior, leaving base odds a : b."""
-    if r:
-        p = fresh * (incl_a / (incl_a + incl_b))
-    else:
-        p = fresh * (incl_b / (incl_a + incl_b))
-    if left is not None and left == r:
-        p += copy_left
-    if right is not None and right == r:
-        p += copy_right
-    return p
-
-
-def site_inclusion_logprob(
-    r: int,
-    left: int | None,
-    right: int | None,
-    fresh: float,
-    copy_left: float,
-    copy_right: float,
-    incl_a: float,
-    incl_b: float,
-) -> float:
-    """Log of :func:`site_inclusion_prob`; zero probability maps to -inf."""
-    p = site_inclusion_prob(r, left, right, fresh, copy_left, copy_right, incl_a, incl_b)
-    return math.log(p) if p > 0.0 else float("-inf")
-
-
-def column_site_probs(
-    assoc: np.ndarray,
-    m: int,
-    weights: PersistenceWeights,
-    incl_a: float,
-    incl_b: float,
+def site_log_probs(
+    assoc: np.ndarray, cols: np.ndarray, s: np.ndarray, hyper: RegressionHyper
 ) -> np.ndarray:
-    """Site probabilities at column ``m`` for every gene, given its neighbor
-    columns in ``assoc``."""
-    assoc = np.asarray(getattr(assoc, "included", assoc))
+    """Log probability of each row's inclusion flag at each column of
+    ``cols`` given the row's flags at the flanking columns, under the
+    adjacency scores ``s``; shape ``(assoc.shape[0], len(cols))``.
+
+    The site probability is ``fresh * base + copy_left * [left == r] +
+    copy_right * [right == r]``, where the fresh component integrates the
+    Beta hyperprior, leaving base odds ``incl_a : incl_b``. A zero
+    probability maps to -inf.
+    """
+    fresh, copy_left, copy_right = mixture_weights(s, hyper.alpha)
     n_probes = assoc.shape[1]
-    r = assoc[:, m]
-    base1 = incl_a / (incl_a + incl_b)
-    base0 = incl_b / (incl_a + incl_b)
-    p = weights.fresh[m] * np.where(r == 1, base1, base0)
-    if m > 0:
-        p = p + weights.copy_left[m] * (assoc[:, m - 1] == r)
-    if m < n_probes - 1:
-        p = p + weights.copy_right[m] * (assoc[:, m + 1] == r)
-    return p
+    base1 = hyper.incl_a / (hyper.incl_a + hyper.incl_b)
+    base0 = hyper.incl_b / (hyper.incl_a + hyper.incl_b)
+    # a boundary column's missing flank wraps around, under a copy weight of 0
+    r = assoc[:, cols]
+    p = (
+        fresh[cols] * np.where(r == 1, base1, base0)
+        + copy_left[cols] * (assoc[:, cols - 1] == r)
+        + copy_right[cols] * (assoc[:, (cols + 1) % n_probes] == r)
+    )
+    # row-major output, which fixes the order of the callers' sums
+    return np.log(p, order="C")
 
 
 def log_assoc_prior(
@@ -210,28 +126,28 @@ def log_assoc_prior(
     hyper: RegressionHyper,
 ) -> float:
     """Log pseudo-likelihood of the whole inclusion matrix given the states."""
-    inc = np.asarray(getattr(assoc, "included", assoc))
+    inc = np.asarray(assoc)
     s = persistence_weights(xi, pos, fragment_length)
-    weights = mixture_weights(s, hyper.alpha)
-    base1 = hyper.incl_a / (hyper.incl_a + hyper.incl_b)
-    base0 = hyper.incl_b / (hyper.incl_a + hyper.incl_b)
-    p = weights.fresh[None, :] * np.where(inc == 1, base1, base0)
-    p = p.copy()
-    p[:, 1:] += weights.copy_left[None, 1:] * (inc[:, 1:] == inc[:, :-1])
-    p[:, :-1] += weights.copy_right[None, :-1] * (inc[:, :-1] == inc[:, 1:])
-    if np.any(p <= 0.0):
-        return float("-inf")
-    return float(np.log(p).sum())
+    return float(site_log_probs(inc, np.arange(inc.shape[1]), s, hyper).sum())
 
 
-def _robert_tail(low: float, rng: np.random.Generator) -> float:
-    """Rejection sampler for a standard normal conditioned on exceeding
-    ``low`` >= 0, using a shifted-exponential envelope."""
-    lam = 0.5 * (low + math.sqrt(low * low + 4.0))
+def _robert_tail(low: float, high: float, rng: np.random.Generator) -> float:
+    """Standard normal conditioned on (low, high), 0 <= low < high <= inf, by
+    Robert's (1995) rejection sampler: a uniform proposal when the interval
+    is narrower than his crossover width, else a shifted exponential one,
+    whose draws above ``high`` are rejected."""
+    root = math.sqrt(low * low + 4.0)
+    crossover = 2.0 * math.sqrt(math.e) / (low + root) * math.exp(0.25 * low * (low - root))
+    if high - low < crossover:
+        while True:
+            z = low + (high - low) * rng.random()
+            if rng.random() <= math.exp(0.5 * (low - z) * (low + z)):
+                return z
+    lam = 0.5 * (low + root)
     while True:
         x = low - math.log1p(-rng.random()) / lam
         diff = x - lam
-        if rng.random() <= math.exp(-0.5 * diff * diff):
+        if x < high and rng.random() <= math.exp(-0.5 * diff * diff):
             return x
 
 
@@ -262,7 +178,7 @@ def _sample_std_truncnorm(a: float, b: float, rng: np.random.Generator) -> float
         return float(rng.standard_normal())
     if a >= 0.0:
         if b == math.inf and a >= 5.0:
-            return _robert_tail(a, rng)
+            return _robert_tail(a, b, rng)
         hi = float(ndtr(-a))
         lo = 0.0 if b == math.inf else float(ndtr(-b))
         while True:
@@ -288,7 +204,12 @@ def sample_truncated_normal(
     high: float,
     rng: np.random.Generator,
 ) -> float:
-    """Draw from N(mean, sd^2) restricted to the open interval (low, high)."""
+    """Draw from N(mean, sd^2) restricted to the open interval (low, high).
+
+    An interval so deep in one tail that its mass underflows (below 1e-300)
+    is sampled by rejection in that tail; only one that also straddles the
+    mean, or whose near bound lies beyond ``TAIL_LIMIT`` sds, is rejected.
+    """
     if not (sd > 0 and math.isfinite(sd)):
         raise ValidationError(f"sd must be positive and finite, got {sd}")
     if not math.isfinite(mean):
@@ -297,12 +218,18 @@ def sample_truncated_normal(
         raise ValidationError(f"need low < high, got ({low}, {high})")
     a = (low - mean) / sd
     b = (high - mean) / sd
-    if _log_interval_mass(a, b) < LOG_TINY:
+    if _log_interval_mass(a, b) >= LOG_TINY:
+        z = _sample_std_truncnorm(a, b, rng)
+    elif 0.0 <= a < TAIL_LIMIT:
+        z = _robert_tail(a, b, rng)
+    elif -TAIL_LIMIT < b <= 0.0:
+        z = -_robert_tail(-b, -a, rng)
+    else:
         raise ValidationError(
             f"degenerate truncation: interval ({low}, {high}) carries no mass "
             f"under N({mean}, {sd}^2)"
         )
-    x = mean + sd * _sample_std_truncnorm(a, b, rng)
+    x = mean + sd * z
     if x <= low:
         x = math.nextafter(low, high)
     elif x >= high:

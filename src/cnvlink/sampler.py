@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +55,13 @@ from .model import (
     ValidationError,
 )
 from .priors import (
+    adjacency,
     dirichlet_logpdf,
     gap_decay,
-    log_assoc_prior,
-    mixture_weights,
+    persistence_counts,
     sample_truncated_gamma,
     sample_truncated_normal,
-    site_inclusion_prob,
+    site_log_probs,
     truncated_gamma_logpdf,
     truncated_normal_logpdf,
 )
@@ -90,6 +90,12 @@ class ChainState:
     iteration: int = 0
 
 
+#: The array fields of :class:`ChainState`, which a checkpoint stores under
+#: the same names, and the dtypes a restored state coerces them to.
+_STATE_ARRAYS = tuple(f.name for f in dataclasses.fields(ChainState) if f.name != "iteration")
+_STATE_DTYPES = {"assoc": np.int8, "states": np.int8, "persist_counts": np.int64}
+
+
 @dataclass
 class AcceptanceStats:
     """Per-move proposal and acceptance counters."""
@@ -115,19 +121,6 @@ class AcceptanceStats:
     @classmethod
     def from_dict(cls, d: dict[str, int]) -> "AcceptanceStats":
         return cls(**{k: int(v) for k, v in d.items()})
-
-    def rates(self) -> dict[str, float]:
-        def rate(acc: int, prop: int) -> float:
-            return acc / prop if prop else float("nan")
-
-        return {
-            "add": rate(self.add_accepted, self.add_proposed),
-            "delete": rate(self.delete_accepted, self.delete_proposed),
-            "swap": rate(self.swap_accepted, self.swap_proposed),
-            "state": rate(self.state_accepted, self.state_proposed),
-            "row": rate(self.row_accepted, self.row_proposed),
-            "trans": rate(self.trans_accepted, self.trans_proposed),
-        }
 
 
 @dataclass(frozen=True)
@@ -224,6 +217,17 @@ def _amp_floor_holds(means: np.ndarray, sds: np.ndarray) -> bool:
     return bool(means[AMP - 1] > means[GAIN - 1] + sds[GAIN - 1])
 
 
+def _transition_counts(states: np.ndarray) -> np.ndarray:
+    """Counts of each (state, next state) pair along the rows, as a
+    4 x 4 matrix."""
+    codes = (states[:, :-1].astype(np.int64) - 1) * N_STATES + (
+        states[:, 1:].astype(np.int64) - 1
+    )
+    return np.bincount(codes.ravel(), minlength=N_STATES * N_STATES).reshape(
+        N_STATES, N_STATES
+    )
+
+
 def _trunc_geometric(rng: np.random.Generator, p: float, cap: int) -> int:
     """Geometric(p) on {1, 2, ...}, redrawn until the value is <= cap."""
     while True:
@@ -304,16 +308,8 @@ class Kernel:
         pre = precompute_responses(self.y, self.hyper.intercept_prec)
         self.swept_y = pre.swept
         self.quad_y = pre.quad
-        gaps = np.diff(self.pos)
-        over = np.flatnonzero(gaps > self.fragment_length)
-        if over.size:
-            raise ValidationError(
-                f"gap {int(over[0])} exceeds fragment_length {self.fragment_length}"
-            )
-        self.gap_decay = gap_decay(gaps, self.fragment_length)
+        self.gap_decay = gap_decay(np.diff(self.pos), self.fragment_length)
         self.mask_limit = self.n * self.cfg.neutral_mask_frac
-        self.base1 = self.hyper.incl_a / (self.hyper.incl_a + self.hyper.incl_b)
-        self.base0 = self.hyper.incl_b / (self.hyper.incl_a + self.hyper.incl_b)
         # interior sites exist and their weights respond to persistence
         self.local_prior = not math.isinf(self.hyper.alpha) and self.n_probes > 2
         self.stats = AcceptanceStats()
@@ -325,12 +321,13 @@ class Kernel:
         emission parameters drawn from their priors (sds first, then means in
         state order so the top state's floor can see the gain parameters)."""
         x = self.x
+        hh = self.hmm_hyper
         states = np.ones(x.shape, dtype=np.int8)
         for t in INIT_THRESHOLDS[1:]:
             states += (x > t).astype(np.int8)
-        trans = self._smoothed_transition_counts(states)
+        smoothed = _transition_counts(states) + np.asarray(hh.trans_conc)[None, :]
+        trans = smoothed / smoothed.sum(axis=1, keepdims=True)
         stat_dist = stationary_distribution(trans)
-        hh = self.hmm_hyper
         sds = np.empty(N_STATES)
         for j in range(N_STATES):
             prec = sample_truncated_gamma(
@@ -351,7 +348,6 @@ class Kernel:
             collapsed_loglik_from_parts(empty, self.swept_y[:, g], float(self.quad_y[g]), self.hyper)
             for g in range(self.n_genes)
         ])
-        persist = (states[:, 1:] == states[:, :-1]).sum(axis=0).astype(np.int64)
         return ChainState(
             assoc=assoc,
             states=states,
@@ -360,20 +356,9 @@ class Kernel:
             sds=sds,
             stat_dist=np.asarray(stat_dist),
             gene_loglik=base_ll,
-            persist_counts=persist,
+            persist_counts=persistence_counts(states),
             iteration=0,
         )
-
-    def _smoothed_transition_counts(self, states: np.ndarray) -> np.ndarray:
-        codes = (states[:, :-1].astype(np.int64) - 1) * N_STATES + (
-            states[:, 1:].astype(np.int64) - 1
-        )
-        counts = np.bincount(codes.ravel(), minlength=N_STATES * N_STATES).reshape(
-            N_STATES, N_STATES
-        )
-        conc = np.asarray(self.hmm_hyper.trans_conc)
-        smoothed = counts + conc[None, :]
-        return smoothed / smoothed.sum(axis=1, keepdims=True)
 
     # ---------------- cached-quantity helpers ----------------
 
@@ -385,22 +370,20 @@ class Kernel:
         )
 
     def _adjacency(self, persist_counts: np.ndarray) -> np.ndarray:
-        return self.gap_decay * (persist_counts / self.n)
+        return adjacency(self.gap_decay, persist_counts, self.n)
 
-    def _gene_sites_logprob(self, row: np.ndarray, cols, weights) -> float:
-        total = 0.0
-        last = self.n_probes - 1
-        for c in cols:
-            left = int(row[c - 1]) if c > 0 else None
-            right = int(row[c + 1]) if c < last else None
-            p = site_inclusion_prob(
-                int(row[c]), left, right,
-                float(weights.fresh[c]), float(weights.copy_left[c]),
-                float(weights.copy_right[c]),
-                self.hyper.incl_a, self.hyper.incl_b,
-            )
-            total += math.log(p)
-        return total
+    def _row_selection_delta(self, row: np.ndarray, new_row: np.ndarray, s: np.ndarray) -> float:
+        """Change in the selection prior's log value when one gene's
+        inclusion row moves from ``row`` to ``new_row`` under adjacency
+        scores ``s``. Only the sites at and next to a changed flag move, so
+        only those are evaluated."""
+        changed = row != new_row
+        near = changed.copy()
+        near[1:] |= changed[:-1]
+        near[:-1] |= changed[1:]
+        cols = np.flatnonzero(near)
+        lp = site_log_probs(np.stack([row, new_row]), cols, s, self.hyper)
+        return float(lp[1].sum()) - float(lp[0].sum())
 
     # ---------------- move 1: inclusion matrix ----------------
 
@@ -415,7 +398,7 @@ class Kernel:
         stats = self.stats
         neutral_counts = (state.states == NEUTRAL).sum(axis=0)
         unmasked = neutral_counts <= self.mask_limit
-        weights = mixture_weights(self._adjacency(state.persist_counts), self.hyper.alpha)
+        s = self._adjacency(state.persist_counts)
         n_g = _trunc_geometric(rng, cfg.gene_block_p, self.n_genes)
         genes = rng.choice(self.n_genes, size=n_g, replace=False)
         for g in genes:
@@ -442,12 +425,9 @@ class Kernel:
             for c, v in changed:
                 new_row[c] = v
             new_ll = self._gene_loglik(g, new_row, state.states)
-            affected = sorted(
-                {cc for c, _ in changed for cc in (c - 1, c, c + 1) if 0 <= cc < self.n_probes}
+            total = (new_ll - float(state.gene_loglik[g])) + self._row_selection_delta(
+                row, new_row, s
             )
-            old_lp = self._gene_sites_logprob(row, affected, weights)
-            new_lp = self._gene_sites_logprob(new_row, affected, weights)
-            total = (new_ll - float(state.gene_loglik[g])) + (new_lp - old_lp)
             setattr(stats, f"{move}_proposed", getattr(stats, f"{move}_proposed") + 1)
             if math.log(rng.random() or 5e-324) < total:
                 state.assoc[g] = new_row
@@ -653,22 +633,9 @@ class Kernel:
         cols = cols[(cols > 0) & (cols < self.n_probes - 1)]
         if cols.size == 0:
             return 0.0
-        return self._sites_logprob(assoc, cols, new_counts) - self._sites_logprob(
-            assoc, cols, old_counts
-        )
-
-    def _sites_logprob(self, assoc: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> float:
-        """Log site probabilities of every gene at the interior columns
-        ``cols``, summed, under the persistence counts ``counts``."""
-        s = self._adjacency(counts)
-        s_left = s[cols - 1]
-        s_right = s[cols]
-        den = self.hyper.alpha + s_left + s_right
-        r = assoc[:, cols]
-        p = (self.hyper.alpha / den) * np.where(r == 1, self.base1, self.base0)
-        p = p + (s_left / den) * (assoc[:, cols - 1] == r)
-        p = p + (s_right / den) * (assoc[:, cols + 1] == r)
-        return float(np.log(p).sum())
+        new = site_log_probs(assoc, cols, self._adjacency(new_counts), self.hyper)
+        old = site_log_probs(assoc, cols, self._adjacency(old_counts), self.hyper)
+        return float(new.sum()) - float(old.sum())
 
     # ---------------- moves 3 and 4: emission parameters ----------------
 
@@ -749,12 +716,7 @@ class Kernel:
         cancel against the proposal)."""
         stats = self.stats
         conc = np.asarray(self.hmm_hyper.trans_conc)
-        codes = (state.states[:, :-1].astype(np.int64) - 1) * N_STATES + (
-            state.states[:, 1:].astype(np.int64) - 1
-        )
-        counts = np.bincount(codes.ravel(), minlength=N_STATES * N_STATES).reshape(
-            N_STATES, N_STATES
-        )
+        counts = _transition_counts(state.states)
         proposal = np.empty((N_STATES, N_STATES))
         for h in range(N_STATES):
             proposal[h] = rng.dirichlet(conc + counts[h])
@@ -793,8 +755,11 @@ class Kernel:
         if hh.amp_floor_tracks_gain and not _amp_floor_holds(state.means, state.sds):
             return float("-inf")
         total = float(state.gene_loglik.sum())
-        total += log_assoc_prior(
-            state.assoc, state.states, self.pos, self.fragment_length, self.hyper
+        total += float(
+            site_log_probs(
+                state.assoc, np.arange(self.n_probes),
+                self._adjacency(state.persist_counts), self.hyper,
+            ).sum()
         )
         total += log_state_prior(state.states, state.trans, state.stat_dist)
         total += log_emission(self.x, state.states, state.means, state.sds)
@@ -820,8 +785,7 @@ class Kernel:
                     f"cached log likelihood for gene {g} drifted: "
                     f"{state.gene_loglik[g]} vs fresh {fresh}"
                 )
-        persist = (state.states[:, 1:] == state.states[:, :-1]).sum(axis=0)
-        if not np.array_equal(persist, state.persist_counts):
+        if not np.array_equal(persistence_counts(state.states), state.persist_counts):
             raise NumericalError("cached persistence counts drifted")
         resid = float(np.max(np.abs(state.stat_dist @ state.trans - state.stat_dist)))
         if resid > 1e-10:
@@ -858,19 +822,12 @@ def make_checkpoint(
 ) -> Checkpoint:
     cfg = kernel.cfg
     return Checkpoint(
+        **{name: np.array(getattr(state, name)) for name in _STATE_ARRAYS},
         iteration=iteration,
         iterations=cfg.iterations,
         burn_in=cfg.burn_in,
         thin=cfg.thin,
         seed=cfg.seed,
-        assoc=state.assoc.copy(),
-        states=state.states.copy(),
-        trans=state.trans.copy(),
-        means=state.means.copy(),
-        sds=state.sds.copy(),
-        stat_dist=np.array(state.stat_dist),
-        gene_loglik=state.gene_loglik.copy(),
-        persist_counts=state.persist_counts.copy(),
         rng_state=rng.bit_generator.state,
         kept=builder.kept,
         assoc_counts=builder.assoc_counts.copy(),
@@ -896,14 +853,10 @@ def _restore(kernel: Kernel, checkpoint: Checkpoint, builder: _TraceBuilder):
     if checkpoint.states.shape != (kernel.n, kernel.n_probes):
         raise ValidationError("checkpoint state shape does not match the data")
     state = ChainState(
-        assoc=checkpoint.assoc.astype(np.int8).copy(),
-        states=checkpoint.states.astype(np.int8).copy(),
-        trans=checkpoint.trans.copy(),
-        means=checkpoint.means.copy(),
-        sds=checkpoint.sds.copy(),
-        stat_dist=checkpoint.stat_dist.copy(),
-        gene_loglik=checkpoint.gene_loglik.copy(),
-        persist_counts=checkpoint.persist_counts.astype(np.int64).copy(),
+        **{
+            name: np.array(getattr(checkpoint, name), dtype=_STATE_DTYPES.get(name))
+            for name in _STATE_ARRAYS
+        },
         iteration=checkpoint.iteration,
     )
     k = int(checkpoint.kept)

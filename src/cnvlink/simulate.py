@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import LatentStateMatrix, NEUTRAL, N_STATES, ObservedData, ValidationError
+from .model import NEUTRAL, N_STATES, ObservedData, ValidationError
 from .likelihood import stationary_distribution
 
 _RAW_TRANS = np.array(
@@ -194,8 +194,8 @@ def _pick_varied_columns(spec: ScenarioSpec, rng: np.random.Generator) -> np.nda
 
 
 def simulate_states(spec: ScenarioSpec, rng: np.random.Generator):
-    """Generate the state matrix; returns it with the varied and extra column
-    index sets.
+    """Generate the int8 state matrix; returns it with the varied and extra
+    column index sets.
 
     Varied columns carry a per-row Markov walk started from the stationary
     law; extra columns perturb a tenth of the rows one step away from
@@ -206,7 +206,7 @@ def simulate_states(spec: ScenarioSpec, rng: np.random.Generator):
     states = np.full((n, n_probes), NEUTRAL, dtype=np.int8)
     if spec.n_varied == 0:
         empty = np.array([], dtype=np.int64)
-        return LatentStateMatrix(states), empty, empty
+        return states, empty, empty
     trans = spec.transition_matrix
     stat = stationary_distribution(trans)
     cum_trans = np.cumsum(trans, axis=1)
@@ -232,7 +232,7 @@ def simulate_states(spec: ScenarioSpec, rng: np.random.Generator):
         u = rng.random(n_rows)
         idx = np.minimum((u[:, None] >= neutral_cum[None, :]).sum(axis=1), N_STATES - 1)
         states[rows, c] = idx.astype(np.int8) + 1
-    return LatentStateMatrix(states), varied, extra
+    return states, varied, extra
 
 
 def simulate_signals(
@@ -240,7 +240,7 @@ def simulate_signals(
 ) -> np.ndarray:
     """Copy-number signals: one Gaussian draw per cell, centered on the
     cell's state mean."""
-    states = np.asarray(getattr(xi, "states", xi))
+    states = np.asarray(xi)
     means = np.asarray(state_means, dtype=np.float64)
     sds = np.asarray(state_sds, dtype=np.float64)
     return rng.normal(loc=means[states - 1], scale=sds[states - 1])
@@ -329,7 +329,7 @@ def _clustered_placement(spec: ScenarioSpec, varied: np.ndarray, rng):
 def simulate_expression(xi, assoc, effects, spec: ScenarioSpec, rng):
     """Expression responses: per-gene intercept plus a regression on the raw
     state values plus Gaussian noise. Returns (Y, intercepts)."""
-    states = np.asarray(getattr(xi, "states", xi), dtype=np.float64)
+    states = np.asarray(xi, dtype=np.float64)
     intercepts = rng.normal(0.0, spec.intercept_sd, size=spec.n_genes)
     signal = states @ effects.T
     noise = rng.normal(0.0, spec.noise_sd_per_gene[None, :], size=signal.shape)
@@ -355,8 +355,8 @@ def evaluate(selected, truth_assoc, state_modes=None, states_true=None) -> EvalM
     state_errors = None
     state_error_pct = None
     if state_modes is not None and states_true is not None:
-        modes = np.asarray(getattr(state_modes, "states", state_modes))
-        true = np.asarray(getattr(states_true, "states", states_true))
+        modes = np.asarray(state_modes)
+        true = np.asarray(states_true)
         if modes.shape != true.shape:
             raise ValidationError("state call shape does not match state truth")
         state_errors = int(np.sum(modes != true))
@@ -410,7 +410,7 @@ def simulate_dataset(spec: ScenarioSpec):
         y=y, x=x, pos=pos, fragment_length=spec.resolved_fragment_length
     )
     truth = GroundTruth(
-        states=xi.states,
+        states=xi,
         assoc=assoc,
         effects=effects,
         intercepts=intercepts,

@@ -31,7 +31,7 @@ from cnvlink.diagnostics import geweke, heidelberger_welch
 from cnvlink.inference import bfdr_select, q_values, summarize
 from cnvlink.likelihood import log_marginal_likelihood
 from cnvlink.model import HmmHyper, RegressionHyper, SamplerConfig
-from cnvlink.priors import mixture_weights, site_inclusion_prob
+from cnvlink.priors import mixture_weights, site_log_probs
 from cnvlink.sampler import run_chain
 from cnvlink.simulate import ScenarioSpec, evaluate, simulate_dataset
 from helpers import build_kernel_state, hyper_kwargs, make_cfg, raw_context
@@ -135,9 +135,12 @@ class TestAcceptance:
             rng = np.random.default_rng(11)
             # fresh-only sites integrate the Beta hyperprior to base odds
             pairs = rng.uniform(0.01, 5.0, size=(100, 2))
+            included = np.ones((1, 2), dtype=np.int8)
             for e, f in pairs:
-                got = site_inclusion_prob(1, None, None, 1.0, 0.0, 0.0, e, f)
-                assert abs(got - e / (e + f)) <= 1e-12
+                # both columns of a two-probe layout are boundary sites
+                hyper = RegressionHyper(incl_a=e, incl_b=f)
+                got = np.exp(site_log_probs(included, np.arange(2), np.zeros(1), hyper))
+                assert np.all(np.abs(got - e / (e + f)) <= 1e-12)
             # the persistence mixture is a probability split at every column
             lengths = rng.integers(1, 8, size=10_000)
             scores = rng.random(size=(10_000, 7))
@@ -146,8 +149,8 @@ class TestAcceptance:
             )
             worst = 0.0
             for length, row, alpha in zip(lengths, scores, alphas):
-                w = mixture_weights(row[:length], float(alpha))
-                total = w.fresh + w.copy_left + w.copy_right
+                fresh, copy_left, copy_right = mixture_weights(row[:length], float(alpha))
+                total = fresh + copy_left + copy_right
                 worst = max(worst, float(np.abs(total - 1.0).max()))
             assert worst <= 1e-12
 

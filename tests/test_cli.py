@@ -205,7 +205,7 @@ class TestFitCommand:
         lines = open(os.path.join(fit_dir, "acceptance.tsv"), encoding="utf-8").read().splitlines()
         assert lines[0] == "move\tproposed\taccepted\trate"
         moves = [line.split("\t")[0] for line in lines[1:]]
-        assert moves == ["add", "delete", "swap", "state", "trans",
+        assert moves == ["add", "delete", "swap", "state", "row", "trans",
                          "assoc_noop", "trans_degenerate"]
         for line in lines[1:]:
             cells = line.split("\t")
@@ -245,17 +245,24 @@ class TestFitCommand:
         assert rc == 1
         assert "is missing Y.tsv" in capsys.readouterr().err
 
-    def test_unreadable_matrix_exits_2(self, sim_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("name,line,row,col", [
+        pytest.param("pos.tsv", 1, "p0001", "pos", id="pos"),
+        pytest.param("Y.tsv", 2, "s0002", "g0001", id="Y"),
+    ])
+    def test_non_numeric_cell_exits_1(self, sim_dir, tmp_path, capsys, name, line, row, col):
         data = tmp_path / "corrupt"
         shutil.copytree(sim_dir, data)
-        pos_path = data / "pos.tsv"
-        pos_path.write_text(
-            pos_path.read_text(encoding="utf-8").replace("\t0", "\tzero", 1),
-            encoding="utf-8",
-        )
+        path = data / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[line].split("\t")
+        cells[1] = "abc"
+        lines[line] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         rc = main(["fit", "--data.dir", str(data), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "unexpected error" in capsys.readouterr().err
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path}: row '{row}', column '{col}'" in err
+        assert "is not a valid float64" in err
 
     def test_fragment_length_required_without_manifest(self, sim_dir, tmp_path, capsys):
         data = tmp_path / "bare"

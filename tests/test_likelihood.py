@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import oracles
 from cnvlink.likelihood import (
     collapsed_loglik_from_parts,
-    gene_likelihood_work,
     log_emission,
     log_marginal_likelihood,
     log_state_prior,
@@ -148,10 +147,9 @@ class TestCollapsedLoglik:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_unresolved_resid_scale_rejected(self):
-        y = np.zeros(3)
         with pytest.raises(ValidationError, match="resid_scale is unresolved"):
-            collapsed_loglik_from_parts(
-                np.zeros((3, 0)), y, 0.0, RegressionHyper()
+            log_marginal_likelihood(
+                np.zeros(3), np.full((3, 2), 2), np.zeros(2, dtype=int), RegressionHyper()
             )
 
     def test_mismatched_row_flags_rejected(self):
@@ -163,51 +161,72 @@ class TestCollapsedLoglik:
             log_marginal_likelihood(np.zeros(3), np.full((4, 2), 2), np.zeros(2, dtype=int), BASE_HYPER)
 
 
+def loglik(y, z, hyper):
+    swept = sweep_intercept(y, hyper.intercept_prec)
+    return collapsed_loglik_from_parts(z, swept, float(y @ swept), hyper)
+
+
+def residual_quad(y, z, hyper):
+    """The residual quadratic form inside the collapsed likelihood, read off
+    its value: for a fixed design the value depends on the response only
+    through ``-(n + df) / 2 * log((scale + quad) / 2)``, and a zero response
+    has ``quad = 0``."""
+    drop = loglik(y, z, hyper) - loglik(np.zeros_like(y), z, hyper)
+    scale = hyper.resid_scale
+    return scale * math.exp(-2.0 * drop / (y.size + hyper.resid_df)) - scale
+
+
 class TestGeneLikelihoodWork:
+    """The intermediate quantities of one gene's collapsed likelihood: the
+    regularized Gram matrix of the selected columns and the residual
+    quadratic form."""
+
     def test_duplicated_column_leaves_quadratic_form_unchanged(self):
         # With a vanishing ridge the projection onto span{z, z} equals the
         # projection onto span{z}, so the residual quadratic form is stable.
         rng = np.random.default_rng(11)
         y = rng.normal(size=8)
-        col = rng.integers(1, 5, size=8)
-        states = np.column_stack([col, col, rng.integers(1, 5, size=8)])
+        col = rng.integers(1, 5, size=8).astype(float)
         hyper = RegressionHyper(
             slab_prec=1e-9, intercept_prec=1e-6, resid_df=3.0, resid_scale=0.05
         )
-        single = gene_likelihood_work(y, states, np.array([1, 0, 0]), hyper)
-        doubled = gene_likelihood_work(y, states, np.array([1, 1, 0]), hyper)
-        assert doubled.n_selected == single.n_selected + 1
-        assert doubled.quad == pytest.approx(single.quad, abs=1e-8)
+        single = residual_quad(y, col[:, None], hyper)
+        doubled = residual_quad(y, np.column_stack([col, col]), hyper)
+        assert doubled == pytest.approx(single, abs=1e-8)
 
     def test_quad_matches_explicit_inverse(self):
         rng = np.random.default_rng(12)
         y = rng.normal(size=7)
         states = rng.integers(1, 5, size=(7, 4))
-        r = np.array([1, 0, 1, 1])
-        work = gene_likelihood_work(y, states, r, BASE_HYPER)
-        z = states[:, np.flatnonzero(r)].astype(float)
-        swept_y = work.sweep(y)
+        z = states[:, np.flatnonzero([1, 0, 1, 1])].astype(float)
+        swept_y = sweep_intercept(y, BASE_HYPER.intercept_prec)
+        gram = BASE_HYPER.slab_prec * np.eye(3) + z.T @ sweep_intercept(z, BASE_HYPER.intercept_prec)
         v = z.T @ swept_y
-        quad_inv = float(y @ swept_y) - float(v @ np.linalg.inv(work.gram) @ v)
-        assert work.quad == pytest.approx(quad_inv, rel=1e-8)
+        quad_inv = float(y @ swept_y) - float(v @ np.linalg.inv(gram) @ v)
+        assert residual_quad(y, z, BASE_HYPER) == pytest.approx(quad_inv, rel=1e-8)
 
     def test_quad_nonnegative(self):
         for seed in range(6):
             y, z = random_instance(seed, n=5, k=2)
-            states = z.astype(int)
-            work = gene_likelihood_work(y, states, np.ones(2, dtype=int), BASE_HYPER)
-            assert work.quad >= 0.0
+            # the value falls as the quadratic form grows from its zero at y = 0
+            assert loglik(y, z, BASE_HYPER) <= loglik(np.zeros_like(y), z, BASE_HYPER)
+            assert loglik(y, z, BASE_HYPER) == pytest.approx(
+                oracles.exact_marginal_loglik(y, z, **hyper_kwargs(BASE_HYPER)), rel=1e-10
+            )
 
     def test_gram_is_ridge_plus_swept_cross_product(self):
+        # at y = 0 the value holds the Gram matrix only through its determinant
         rng = np.random.default_rng(13)
-        y = rng.normal(size=5)
-        states = rng.integers(1, 5, size=(5, 2))
-        work = gene_likelihood_work(y, states, np.ones(2, dtype=int), BASE_HYPER)
-        z = states.astype(float)
         n = 5
+        z = rng.integers(1, 5, size=(n, 2)).astype(float)
         h = np.eye(n) - np.ones((n, n)) / (n + BASE_HYPER.intercept_prec)
-        expected = BASE_HYPER.slab_prec * np.eye(2) + z.T @ h @ z
-        assert np.allclose(work.gram, expected, atol=1e-12)
+        gram = BASE_HYPER.slab_prec * np.eye(2) + z.T @ h @ z
+        at_zero = oracles.exact_marginal_loglik(np.zeros(n), np.empty((n, 0)), **hyper_kwargs(BASE_HYPER))
+        expected = at_zero + math.log(BASE_HYPER.slab_prec) - 0.5 * np.linalg.slogdet(gram)[1]
+        assert loglik(np.zeros(n), z, BASE_HYPER) == pytest.approx(expected, abs=1e-10)
+        assert loglik(np.zeros(n), z, BASE_HYPER) == pytest.approx(
+            oracles.exact_marginal_loglik(np.zeros(n), z, **hyper_kwargs(BASE_HYPER)), abs=1e-8
+        )
 
 
 class TestInterceptSweep:

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -164,6 +165,19 @@ class TestMatrixTsv:
         write_matrix_tsv(path, np.array([[True, False]]))
         lines = open(path, encoding="utf-8").read().splitlines()
         assert lines[1] == "r0001\t1\t0"
+
+    @pytest.mark.parametrize("dtype,cell,kind", [
+        (np.float64, "abc", "float64"),
+        (np.float64, "", "float64"),
+        (np.int64, "1.5", "int64"),
+    ])
+    def test_non_numeric_cell_names_file_row_and_column(self, tmp_path, dtype, cell, kind):
+        path = str(tmp_path / "m.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"id\tu\tv\nalpha\t1\t2\nbeta\t3\t{cell}\n")
+        message = f"{path}: row 'beta', column 'v': cell '{cell}' is not a valid {kind}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_matrix_tsv(path, dtype=dtype)
 
     def test_rejects_higher_dimensional_input(self, tmp_path):
         with pytest.raises(ValidationError, match="can only serialize 2-d matrices"):

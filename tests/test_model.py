@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from cnvlink.model import (
-    AssociationMatrix,
     HmmHyper,
-    HmmParams,
-    LatentStateMatrix,
     ObservedData,
     RegressionHyper,
     SamplerConfig,
@@ -101,31 +98,6 @@ class TestObservedData:
             )
 
 
-# ---------------- latent-state and inclusion containers ----------------
-
-
-class TestLatentContainers:
-    def test_states_outside_range_rejected(self):
-        with pytest.raises(ValidationError, match=re.escape("states entries must lie in 1..4")):
-            LatentStateMatrix(states=np.array([[1, 5], [2, 3]]))
-
-    def test_states_zero_rejected(self):
-        with pytest.raises(ValidationError, match="states entries must lie in 1..4"):
-            LatentStateMatrix(states=np.array([[0, 1], [2, 3]]))
-
-    def test_valid_states_kept_as_int8(self):
-        lsm = LatentStateMatrix(states=np.array([[1, 2], [3, 4]]))
-        assert lsm.states.dtype == np.int8
-
-    def test_inclusions_must_be_binary(self):
-        with pytest.raises(ValidationError, match="included entries must be 0/1"):
-            AssociationMatrix(included=np.array([[0, 2]]))
-
-    def test_valid_inclusions(self):
-        am = AssociationMatrix(included=np.array([[0, 1], [1, 0]]))
-        assert am.included.sum() == 2
-
-
 # ---------------- hyperparameter records ----------------
 
 
@@ -148,75 +120,6 @@ class TestHmmHyper:
     def test_finite_lower_bounds_must_increase(self):
         with pytest.raises(ValidationError, match="finite entries of eta_low must be strictly increasing"):
             HmmHyper(eta_low=(-math.inf, 0.2, 0.1, -math.inf), eta_high=(-0.1, 0.3, 0.73, math.inf))
-
-
-class TestHmmParams:
-    def setup_method(self):
-        self.trans = np.array(
-            [
-                [0.7, 0.1, 0.1, 0.1],
-                [0.1, 0.7, 0.1, 0.1],
-                [0.1, 0.1, 0.7, 0.1],
-                [0.1, 0.1, 0.1, 0.7],
-            ]
-        )
-        self.stat = np.full(4, 0.25)
-
-    def make(self, **kw):
-        args = dict(
-            trans=self.trans,
-            means=np.array([-0.65, 0.0, 0.65, 1.5]),
-            sds=np.array([0.1, 0.1, 0.1, 0.2]),
-            stat_dist=self.stat,
-        )
-        args.update(kw)
-        return HmmParams(**args)
-
-    def test_valid_params_pass(self):
-        params = self.make()
-        assert params.trans.shape == (4, 4)
-
-    def test_nonstochastic_row_rejected(self):
-        trans = self.trans.copy()
-        trans[1, 1] = 0.6
-        with pytest.raises(ValidationError, match="trans row 1 sums to"):
-            self.make(trans=trans)
-
-    def test_zero_transition_rejected(self):
-        trans = self.trans.copy()
-        trans[0, 0] = 0.0
-        trans[0, 1] = 0.8
-        with pytest.raises(ValidationError, match="trans entries must be strictly positive"):
-            self.make(trans=trans)
-
-    def test_wrong_stationary_vector_rejected(self):
-        trans = np.array(
-            [
-                [0.9, 0.04, 0.03, 0.03],
-                [0.1, 0.8, 0.05, 0.05],
-                [0.1, 0.1, 0.7, 0.1],
-                [0.05, 0.05, 0.1, 0.8],
-            ]
-        )
-        with pytest.raises(ValidationError, match="stat_dist is not stationary for trans"):
-            self.make(trans=trans)
-
-    def test_nonpositive_sd_rejected(self):
-        with pytest.raises(ValidationError, match=re.escape("sds[2] must be strictly positive")):
-            self.make(sds=np.array([0.1, 0.1, -0.1, 0.2]))
-
-    def test_check_bounds_flags_out_of_range_mean(self):
-        params = self.make(means=np.array([-0.65, 0.0, 0.65, 1.5]))
-        hyper = HmmHyper()
-        params.check_bounds(hyper)  # fine
-        bad = self.make(means=np.array([-0.65, 0.0, 0.8, 1.5]))
-        with pytest.raises(ValidationError, match=re.escape("means[2]=0.8 outside")):
-            bad.check_bounds(hyper)
-
-    def test_check_bounds_flags_oversized_sd(self):
-        params = self.make(sds=np.array([0.1, 0.5, 0.1, 0.2]))
-        with pytest.raises(ValidationError, match=re.escape("sds[1]=0.5 exceeds cap 0.41")):
-            params.check_bounds(HmmHyper())
 
 
 class TestRegressionHyper:

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaincc, gammainccinv
+from scipy.special import gammaincc, gammainccinv, log_ndtr
 
 import oracles
 from cnvlink.model import RegressionHyper, ValidationError
 from cnvlink.priors import (
-    PersistenceWeights,
-    column_site_probs,
+    _robert_tail,
     dirichlet_logpdf,
     gap_decay,
     log_assoc_prior,
@@ -19,8 +18,7 @@ from cnvlink.priors import (
     persistence_weights,
     sample_truncated_gamma,
     sample_truncated_normal,
-    site_inclusion_logprob,
-    site_inclusion_prob,
+    site_log_probs,
     truncated_gamma_logpdf,
     truncated_normal_logpdf,
 )
@@ -44,8 +42,8 @@ class TestGapDecay:
     def test_zero_gap_full_persistence_feeds_mixture_weights(self):
         states = np.array([[2, 2], [3, 3]])
         s = persistence_weights(states, np.array([5.0, 5.0]), 10.0)
-        w = mixture_weights(s, 1.0)
-        assert np.all(w.fresh > 0)
+        fresh, _, _ = mixture_weights(s, 1.0)
+        assert np.all(fresh > 0)
 
     def test_full_fragment_gap_gives_zero(self):
         assert gap_decay(np.array([10.0]), 10.0)[0] == 0.0
@@ -97,169 +95,132 @@ class TestPersistenceWeights:
 
 class TestMixtureWeights:
     def test_balanced_interior_column(self):
-        w = mixture_weights(np.array([0.65, 0.65]), 1.3)
-        assert w.fresh[1] == pytest.approx(0.5, rel=1e-14)
-        assert w.copy_left[1] == pytest.approx(0.25, rel=1e-14)
-        assert w.copy_right[1] == pytest.approx(0.25, rel=1e-14)
+        fresh, copy_left, copy_right = mixture_weights(np.array([0.65, 0.65]), 1.3)
+        assert fresh[1] == pytest.approx(0.5, rel=1e-14)
+        assert copy_left[1] == pytest.approx(0.25, rel=1e-14)
+        assert copy_right[1] == pytest.approx(0.25, rel=1e-14)
 
     def test_boundary_columns_draw_fresh(self):
-        w = mixture_weights(np.array([0.9, 0.1]), 0.5)
-        assert w.fresh[0] == 1.0 and w.copy_left[0] == 0.0 and w.copy_right[0] == 0.0
-        assert w.fresh[2] == 1.0 and w.copy_left[2] == 0.0 and w.copy_right[2] == 0.0
+        fresh, copy_left, copy_right = mixture_weights(np.array([0.9, 0.1]), 0.5)
+        assert fresh[0] == 1.0 and copy_left[0] == 0.0 and copy_right[0] == 0.0
+        assert fresh[2] == 1.0 and copy_left[2] == 0.0 and copy_right[2] == 0.0
 
     def test_infinite_coupling_scale_disables_copying(self):
-        w = mixture_weights(np.array([0.9, 0.8, 0.7]), math.inf)
-        assert np.all(w.fresh == 1.0)
-        assert np.all(w.copy_left == 0.0)
-        assert np.all(w.copy_right == 0.0)
+        fresh, copy_left, copy_right = mixture_weights(np.array([0.9, 0.8, 0.7]), math.inf)
+        assert np.all(fresh == 1.0)
+        assert np.all(copy_left == 0.0)
+        assert np.all(copy_right == 0.0)
 
     def test_two_probe_layout_has_no_interior(self):
-        w = mixture_weights(np.array([0.9]), 0.01)
-        assert np.all(w.fresh == 1.0)
+        fresh, _, _ = mixture_weights(np.array([0.9]), 0.01)
+        assert np.all(fresh == 1.0)
 
     def test_weights_sum_to_one_per_column(self):
         rng = np.random.default_rng(3)
         s = rng.uniform(0, 1, size=9)
-        w = mixture_weights(s, 0.7)
-        assert np.allclose(w.fresh + w.copy_left + w.copy_right, 1.0, atol=1e-12)
+        fresh, copy_left, copy_right = mixture_weights(s, 0.7)
+        assert np.allclose(fresh + copy_left + copy_right, 1.0, atol=1e-12)
 
     def test_fresh_weight_increases_with_alpha(self):
         s = np.array([0.6, 0.4, 0.8])
-        lo = mixture_weights(s, 1.0)
-        hi = mixture_weights(s, 3.0)
-        assert np.all(hi.fresh[1:-1] > lo.fresh[1:-1])
+        lo, _, _ = mixture_weights(s, 1.0)
+        hi, _, _ = mixture_weights(s, 3.0)
+        assert np.all(hi[1:-1] > lo[1:-1])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(5)
         s = rng.uniform(0, 1, size=6)
         for alpha in (0.5, 2.0, math.inf):
-            w = mixture_weights(s, alpha)
-            fresh, copy_left, copy_right = oracles.site_weights_oracle(s, alpha, 7)
-            assert np.allclose(w.fresh, fresh, atol=1e-14)
-            assert np.allclose(w.copy_left, copy_left, atol=1e-14)
-            assert np.allclose(w.copy_right, copy_right, atol=1e-14)
-
-    def test_scores_outside_unit_interval_rejected(self):
-        with pytest.raises(ValidationError, match=r"adjacency scores must lie in \[0, 1\]"):
-            mixture_weights(np.array([0.5, 1.2]), 1.0)
-
-    def test_matrix_scores_rejected(self):
-        with pytest.raises(ValidationError, match="must be a vector"):
-            mixture_weights(np.ones((2, 2)), 1.0)
-
-
-class TestPersistenceWeightsContainer:
-    def good_kwargs(self):
-        return dict(
-            adjacency=np.array([0.5, 0.5]),
-            fresh=np.array([1.0, 0.5, 1.0]),
-            copy_left=np.array([0.0, 0.25, 0.0]),
-            copy_right=np.array([0.0, 0.25, 0.0]),
-        )
-
-    def test_wrong_adjacency_length_rejected(self):
-        kw = self.good_kwargs()
-        kw["adjacency"] = np.array([0.5, 0.5, 0.5])
-        with pytest.raises(ValidationError, match=r"adjacency must have length 2, got \(3,\)"):
-            PersistenceWeights(**kw)
-
-    def test_column_sum_violation_rejected(self):
-        kw = self.good_kwargs()
-        kw["fresh"] = np.array([1.0, 0.6, 1.0])
-        with pytest.raises(ValidationError, match="weights at column 1 sum to"):
-            PersistenceWeights(**kw)
-
-    def test_first_column_copy_left_rejected(self):
-        kw = self.good_kwargs()
-        kw["fresh"] = np.array([0.9, 0.5, 1.0])
-        kw["copy_left"] = np.array([0.1, 0.25, 0.0])
-        with pytest.raises(ValidationError, match="copy_left must vanish at the first column"):
-            PersistenceWeights(**kw)
-
-    def test_last_column_copy_right_rejected(self):
-        kw = self.good_kwargs()
-        kw["fresh"] = np.array([1.0, 0.5, 0.9])
-        kw["copy_right"] = np.array([0.0, 0.25, 0.1])
-        with pytest.raises(ValidationError, match="copy_right must vanish at the last column"):
-            PersistenceWeights(**kw)
-
-    def test_entries_outside_unit_interval_rejected(self):
-        kw = self.good_kwargs()
-        kw["adjacency"] = np.array([0.5, -0.1])
-        with pytest.raises(ValidationError, match=r"adjacency entries must lie in \[0, 1\]"):
-            PersistenceWeights(**kw)
-
-    def test_arrays_frozen(self):
-        w = PersistenceWeights(**self.good_kwargs())
-        for arr in (w.adjacency, w.fresh, w.copy_left, w.copy_right):
-            assert not arr.flags.writeable
+            got = mixture_weights(s, alpha)
+            want = oracles.site_weights_oracle(s, alpha, 7)
+            for g, w in zip(got, want):
+                assert np.allclose(g, w, atol=1e-14)
 
 
 # ---------------- one-site conditionals ----------------
 
 
+def _oracle_site_logprobs(assoc, s, hyper):
+    """Every site of ``assoc`` through the scalar oracles."""
+    n_genes, n_probes = assoc.shape
+    fresh, copy_left, copy_right = oracles.site_weights_oracle(s, hyper.alpha, n_probes)
+    out = np.empty((n_genes, n_probes))
+    for g in range(n_genes):
+        for m in range(n_probes):
+            left = int(assoc[g, m - 1]) if m > 0 else None
+            right = int(assoc[g, m + 1]) if m < n_probes - 1 else None
+            out[g, m] = math.log(oracles.site_prob_oracle(
+                int(assoc[g, m]), left, right,
+                float(fresh[m]), float(copy_left[m]), float(copy_right[m]),
+                hyper.incl_a, hyper.incl_b,
+            ))
+    return out
+
+
 class TestSiteInclusionProb:
     def test_fresh_only_inclusion(self):
-        got = site_inclusion_logprob(1, None, None, 1.0, 0.0, 0.0, 0.001, 0.999)
-        assert got == pytest.approx(math.log(0.001), rel=1e-12)
+        got = site_log_probs(np.array([[1, 0]]), np.array([0]), np.array([0.5]), make_hyper())
+        assert got[0, 0] == pytest.approx(math.log(0.001), rel=1e-12)
 
     def test_balanced_base_with_agreeing_neighbors(self):
-        got = site_inclusion_logprob(1, 1, 1, 0.5, 0.25, 0.25, 1.0, 1.0)
-        assert got == pytest.approx(math.log(0.75), rel=1e-14)
+        # alpha : s_left : s_right = 1.3 : 0.65 : 0.65 gives weights 1/2, 1/4, 1/4
+        hyper = make_hyper(incl_a=1.0, incl_b=1.0, alpha=1.3)
+        got = site_log_probs(np.ones((1, 3)), np.array([1]), np.array([0.65, 0.65]), hyper)
+        assert got[0, 0] == pytest.approx(math.log(0.75), rel=1e-14)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            raw = rng.uniform(0.05, 1.0, size=3)
-            fresh, cl, cr = raw / raw.sum()
-            left = int(rng.integers(0, 2))
-            right = int(rng.integers(0, 2))
+            s = rng.uniform(0.0, 1.0, size=2)
+            left, right = (int(v) for v in rng.integers(0, 2, size=2))
             a, b = rng.uniform(0.1, 5.0, size=2)
-            total = site_inclusion_prob(0, left, right, fresh, cl, cr, a, b) + (
-                site_inclusion_prob(1, left, right, fresh, cl, cr, a, b)
-            )
+            hyper = make_hyper(incl_a=a, incl_b=b, alpha=float(rng.uniform(0.05, 3.0)))
+            rows = np.array([[left, 0, right], [left, 1, right]])
+            total = np.exp(site_log_probs(rows, np.array([1]), s, hyper)).sum()
             assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_site_sums_to_one(self):
-        total = site_inclusion_prob(0, None, 1, 0.6, 0.0, 0.4, 2.0, 3.0) + (
-            site_inclusion_prob(1, None, 1, 0.6, 0.0, 0.4, 2.0, 3.0)
-        )
-        assert total == pytest.approx(1.0, rel=1e-14)
+        hyper = make_hyper(incl_a=2.0, incl_b=3.0, alpha=0.6)
+        for m in (0, 2):
+            rows = np.ones((2, 3), dtype=np.int8)
+            rows[0, m] = 0
+            total = np.exp(site_log_probs(rows, np.array([m]), np.array([0.9, 0.8]), hyper)).sum()
+            assert total == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_probability_maps_to_minus_inf(self):
-        got = site_inclusion_logprob(1, 0, 0, 0.0, 0.5, 0.5, 1.0, 1.0)
-        assert got == float("-inf")
+        # the fresh weight times the base odds underflows to zero, and
+        # neither neighbor agrees with the flag
+        hyper = make_hyper(incl_a=1e-300, incl_b=1.0, alpha=1e-300)
+        with np.errstate(divide="ignore"):
+            got = site_log_probs(np.array([[0, 1, 0]]), np.array([1]), np.array([0.5, 0.5]), hyper)
+        assert got[0, 0] == float("-inf")
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            raw = rng.uniform(0.05, 1.0, size=3)
-            fresh, cl, cr = raw / raw.sum()
-            r = int(rng.integers(0, 2))
-            left = [None, 0, 1][rng.integers(0, 3)]
-            right = [None, 0, 1][rng.integers(0, 3)]
+            n_probes = int(rng.integers(2, 7))
+            assoc = rng.integers(0, 2, size=(3, n_probes))
+            s = rng.uniform(0.0, 1.0, size=n_probes - 1)
             a, b = rng.uniform(0.1, 5.0, size=2)
-            got = site_inclusion_prob(r, left, right, fresh, cl, cr, a, b)
-            want = oracles.site_prob_oracle(r, left, right, fresh, cl, cr, a, b)
-            assert got == pytest.approx(want, rel=1e-14)
+            alpha = math.inf if rng.random() < 0.2 else float(rng.uniform(0.05, 3.0))
+            hyper = make_hyper(incl_a=a, incl_b=b, alpha=alpha)
+            got = site_log_probs(assoc, np.arange(n_probes), s, hyper)
+            assert np.allclose(got, _oracle_site_logprobs(assoc, s, hyper), rtol=0, atol=1e-13)
 
 
 class TestColumnSiteProbs:
     def test_matches_scalar_route_per_gene(self):
+        # one gene at one column gives the same value as that entry of the
+        # whole-matrix evaluation, boundary columns included
         rng = np.random.default_rng(14)
         assoc = rng.integers(0, 2, size=(5, 6))
-        w = mixture_weights(rng.uniform(0, 1, size=5), 1.7)
+        s = rng.uniform(0, 1, size=5)
+        hyper = make_hyper(incl_a=0.3, incl_b=2.7, alpha=1.7)
+        full = site_log_probs(assoc, np.arange(6), s, hyper)
         for m in range(6):
-            got = column_site_probs(assoc, m, w, 0.3, 2.7)
             for g in range(5):
-                left = int(assoc[g, m - 1]) if m > 0 else None
-                right = int(assoc[g, m + 1]) if m < 5 else None
-                want = site_inclusion_prob(
-                    int(assoc[g, m]), left, right,
-                    float(w.fresh[m]), float(w.copy_left[m]), float(w.copy_right[m]),
-                    0.3, 2.7,
-                )
-                assert got[g] == pytest.approx(want, rel=1e-14)
+                got = site_log_probs(assoc[g : g + 1], np.array([m]), s, hyper)
+                assert got[0, 0] == full[g, m]
 
 
 class TestLogAssocPrior:
@@ -302,14 +263,14 @@ class TestLogAssocPrior:
         pos = np.arange(m_total, dtype=float)
         changed = states.copy()
         changed[:, 4] = 1 + (states[:, 4] % 4)
-        w_old = mixture_weights(persistence_weights(states, pos, 20.0), 1.5)
-        w_new = mixture_weights(persistence_weights(changed, pos, 20.0), 1.5)
+        hyper = make_hyper(incl_a=0.3, incl_b=1.7, alpha=1.5)
+        cols = np.arange(m_total)
+        p_old = site_log_probs(assoc, cols, persistence_weights(states, pos, 20.0), hyper)
+        p_new = site_log_probs(assoc, cols, persistence_weights(changed, pos, 20.0), hyper)
         for m in range(m_total):
-            p_old = column_site_probs(assoc, m, w_old, 0.3, 1.7)
-            p_new = column_site_probs(assoc, m, w_new, 0.3, 1.7)
             if m in (3, 4, 5):
                 continue
-            assert np.array_equal(p_old, p_new)
+            assert np.array_equal(p_old[:, m], p_new[:, m])
 
     def test_stronger_coupling_raises_prior_of_contiguous_runs(self):
         # A run of identical flags gains mass when neighbor copying gets
@@ -376,8 +337,38 @@ class TestTruncatedNormalSampler:
             sample_truncated_normal(0.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
 
     def test_massless_interval_rejected(self):
+        # an interval around the mean too narrow to carry mass in doubles
         with pytest.raises(ValidationError, match="degenerate truncation"):
-            sample_truncated_normal(0.0, 1.0, 50.0, 51.0, np.random.default_rng(0))
+            sample_truncated_normal(0.0, 1.0, -1e-310, 1e-310, np.random.default_rng(0))
+
+    @staticmethod
+    def tail_cdf(lo, hi):
+        """CDF of N(0, 1) restricted to (lo, hi), lo >= 0, in log space."""
+        la, lb = log_ndtr(-lo), log_ndtr(-hi)
+        return lambda x: np.expm1(log_ndtr(-np.asarray(x)) - la) / np.expm1(lb - la)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (71.0, 159.0), (3.0, 3.5), (6.0, math.inf), (10.0, 10.05), (40.0, 40.005),
+    ])
+    def test_tail_sampler_matches_truncated_law(self, lo, hi):
+        # the first three take the exponential proposal (which overshoots
+        # 3.5 often), the last two are narrower than the crossover width and
+        # take the uniform one
+        rng = np.random.default_rng(105)
+        draws = np.array([_robert_tail(lo, hi, rng) for _ in range(4_000)])
+        assert draws.min() >= lo and draws.max() <= hi
+        assert stats.kstest(draws, self.tail_cdf(lo, hi)).pvalue > 1e-4
+
+    def test_massless_lower_tail_interval_is_sampled(self):
+        # the gain-mean conditional that stopped a fit: (0.1, 0.3885) lies
+        # 71 to 159 sds below the mean
+        mean, sd, lo, hi = 0.6242, 0.0033, 0.1, 0.3885
+        rng = np.random.default_rng(106)
+        draws = np.array([sample_truncated_normal(mean, sd, lo, hi, rng) for _ in range(4_000)])
+        assert draws.min() > lo and draws.max() < hi
+        mirrored = (mean - draws) / sd
+        cdf = self.tail_cdf((mean - hi) / sd, (mean - lo) / sd)
+        assert stats.kstest(mirrored, cdf).pvalue > 1e-4
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValidationError, match="sd must be positive"):

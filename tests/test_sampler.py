@@ -10,10 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import gammaincc
 
 import oracles
+from cnvlink.config import (
+    resolve,
+    to_hmm_hyper,
+    to_regression_hyper,
+    to_sampler_config,
+    to_scenario_spec,
+)
 from cnvlink.likelihood import log_marginal_likelihood, stationary_distribution
 from cnvlink.model import (
     HmmHyper,
@@ -21,8 +30,11 @@ from cnvlink.model import (
     RegressionHyper,
     SamplerConfig,
     ValidationError,
+    validate,
 )
+from cnvlink.priors import log_assoc_prior, persistence_counts
 from cnvlink.sampler import INIT_THRESHOLDS, Kernel, run_chain
+from cnvlink.simulate import simulate_dataset
 from helpers import (
     ScriptedRNG,
     build_kernel_state,
@@ -191,6 +203,24 @@ class TestInitState:
             assert np.all(state.means < np.asarray(hh.eta_high))
             # dosage ordering: the top state's floor tracks the gain state
             assert state.means[3] > state.means[2] + state.sds[2]
+
+    def test_every_chain_seed_starts_on_the_default_dataset(self):
+        # A low initial amp mean puts the gain mean's upper bound far below
+        # its conditional; on this dataset nine of these seeds used to stop
+        # the fit at the first sweep with a degenerate truncation.
+        resolved, _ = resolve(None, {})
+        data = simulate_dataset(to_scenario_spec(resolved))[0]
+        ctx = validate(
+            data, to_regression_hyper(resolved), to_hmm_hyper(resolved),
+            to_sampler_config(resolved), standardize=resolved["fit.standardize"],
+        )
+        kernel = Kernel(ctx)
+        for seed in range(100):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            state = kernel.init_state(rng)
+            for _ in range(3):
+                kernel.sweep(state, rng)
+            kernel.check_coherence(state)
 
 
 # ---------------- move 1: inclusion matrix ----------------
@@ -1024,6 +1054,54 @@ class TestLogPosterior:
         after = kernel.log_posterior(trial)
         want = assoc_move_total(kernel, state, 1, ((3, 1),))
         assert after - before == pytest.approx(want, abs=1e-9)
+
+
+class TestPriorDeltasMatchMonitor:
+    """The selection-prior changes the moves use against the prior the
+    ``log_posterior`` monitor and the public API evaluate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_move_deltas_equal_log_assoc_prior_differences(self, data):
+        n = data.draw(st.integers(1, 4))
+        n_genes = data.draw(st.integers(1, 3))
+        n_probes = data.draw(st.integers(2, 6))
+        alpha = data.draw(st.one_of(st.just(math.inf), st.floats(0.05, 50.0)))
+        hyper = RegressionHyper(
+            resid_scale=0.05, alpha=alpha,
+            incl_a=data.draw(st.floats(0.01, 5.0)), incl_b=data.draw(st.floats(0.01, 5.0)),
+        )
+        gaps = np.array(data.draw(st.lists(
+            st.floats(0.0, 2.0), min_size=n_probes - 1, max_size=n_probes - 1)))
+        pos = np.concatenate([[0.0], np.cumsum(gaps)])
+        fragment_length = float(pos[-1]) + data.draw(st.floats(0.5, 3.0))
+
+        def matrix(rows, lo, hi):
+            cells = data.draw(st.lists(
+                st.integers(lo, hi), min_size=rows * n_probes, max_size=rows * n_probes))
+            return np.array(cells, dtype=np.int8).reshape(rows, n_probes)
+
+        assoc, states, new_states = matrix(n_genes, 0, 1), matrix(n, 1, 4), matrix(n, 1, 4)
+        g = data.draw(st.integers(0, n_genes - 1))
+        new_assoc = assoc.copy()
+        new_assoc[g] = matrix(1, 0, 1)[0]
+        kernel = Kernel(raw_context(
+            np.zeros((n, n_genes)), np.zeros((n, n_probes)),
+            pos=pos, fragment_length=fragment_length, hyper=hyper,
+        ))
+
+        def monitor(a, xi):
+            return log_assoc_prior(a, xi, pos, fragment_length, hyper)
+
+        counts = persistence_counts(states)
+        row_delta = kernel._row_selection_delta(assoc[g], new_assoc[g], kernel._adjacency(counts))
+        assert row_delta == pytest.approx(
+            monitor(new_assoc, states) - monitor(assoc, states), rel=0, abs=1e-12
+        )
+        state_delta = kernel._selection_delta(assoc, counts, persistence_counts(new_states))
+        assert state_delta == pytest.approx(
+            monitor(assoc, new_states) - monitor(assoc, states), rel=0, abs=1e-12
+        )
 
 
 class TestCoherenceChecks:

@@ -105,24 +105,26 @@ class TestSimulateStates:
         xi, varied, extra = simulate_states(
             make_spec(n_varied=0, n_assoc=0), np.random.default_rng(0)
         )
-        assert np.all(xi.states == 2)
+        assert xi.dtype == np.int8
+        assert np.all(xi == 2)
         assert varied.size == 0 and extra.size == 0
 
     def test_untouched_columns_stay_neutral(self):
         spec = make_spec(n_samples=15, n_probes=40, n_varied=12)
         xi, varied, extra = simulate_states(spec, np.random.default_rng(3))
+        assert xi.dtype == np.int8 and xi.shape == (15, 40)
         assert varied.size == 12
         assert extra.size == (40 - 12) // 2
         assert np.intersect1d(varied, extra).size == 0
         untouched = np.setdiff1d(np.arange(40), np.union1d(varied, extra))
-        assert np.all(xi.states[:, untouched] == 2)
+        assert np.all(xi[:, untouched] == 2)
 
     def test_extra_columns_perturb_a_tenth_of_rows(self):
         spec = make_spec(n_samples=50, n_probes=40, n_varied=12)
         xi, varied, extra = simulate_states(spec, np.random.default_rng(4))
         cap = math.ceil(0.1 * 50)
         for c in extra:
-            non_neutral = int(np.sum(xi.states[:, c] != 2))
+            non_neutral = int(np.sum(xi[:, c] != 2))
             assert 1 <= non_neutral <= cap
 
     def test_varied_frequencies_approach_stationary_law(self):
@@ -130,7 +132,7 @@ class TestSimulateStates:
             n_samples=200, n_probes=250, n_varied=200, n_genes=2, n_assoc=0
         )
         xi, varied, _ = simulate_states(spec, np.random.default_rng(5))
-        cells = xi.states[:, varied].ravel()
+        cells = xi[:, varied].ravel()
         freq = np.bincount(cells, minlength=5)[1:] / cells.size
         tv = 0.5 * np.abs(freq - stationary_distribution(DEFAULT_TRANS)).sum()
         assert tv < 0.05
