@@ -206,15 +206,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
         resume = load_checkpoint(args.resume)
         _log(f"fit: resuming from {args.resume} at iteration {resume.iteration}")
     every = resolved["fit.checkpoint_every"] or None
-    trace = run_chain(
-        ctx,
-        hyper,
-        hmm_hyper,
-        cfg,
-        resume=resume,
-        checkpoint_every=every,
-        on_checkpoint=lambda cp: save_checkpoint(checkpoint_path, cp),
-    )
+    try:
+        trace = run_chain(
+            ctx,
+            resume=resume,
+            checkpoint_every=every,
+            on_checkpoint=lambda cp: save_checkpoint(checkpoint_path, cp),
+        )
+    except ValidationError as err:
+        # errors inside the sweeps come out as NumericalError, so this one
+        # rejects the checkpoint
+        if resume is None:
+            raise
+        raise ValidationError(f"{args.resume}: {err}") from None
     summary = summarize(trace, fdr_target=resolved["fit.fdr"])
     _write_fit_outputs(out_dir, trace, summary, samples, genes, probes)
     manifest = {

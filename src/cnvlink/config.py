@@ -11,6 +11,7 @@ resolved values and where each came from are recorded in the run manifest.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -211,14 +212,6 @@ def resolve(
     return resolved, provenance
 
 
-def require(resolved: dict[str, Any], keys: list[str]) -> None:
-    missing = [k for k in keys if resolved.get(k) is REQUIRED]
-    if missing:
-        raise ValidationError(
-            "missing required configuration key(s): " + ", ".join(sorted(missing))
-        )
-
-
 def manifest_view(resolved: dict[str, Any]) -> dict[str, Any]:
     """JSON-safe copy of the resolved config (inf spelled out, REQUIRED and
     None left as null)."""
@@ -237,72 +230,34 @@ def manifest_view(resolved: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
+def _from_keys(cls, group: str, resolved: dict[str, Any], **fixed):
+    """Build the dataclass ``cls`` from the keys ``<group>.<field>``; a field
+    with no key keeps its default, and ``fixed`` overrides fields."""
+    values = {
+        f.name: resolved[f"{group}.{f.name}"]
+        for f in dataclasses.fields(cls)
+        if f"{group}.{f.name}" in SCHEMA
+    }
+    return cls(**{**values, **fixed})
+
+
 def to_sampler_config(resolved: dict[str, Any]) -> SamplerConfig:
-    return SamplerConfig(
-        iterations=resolved["sampler.iterations"],
-        burn_in=resolved["sampler.burn_in"],
-        thin=resolved["sampler.thin"],
-        seed=resolved["sampler.seed"],
-        gene_block_p=resolved["sampler.gene_block_p"],
-        row_block_p=resolved["sampler.row_block_p"],
-        neutral_mask_frac=resolved["sampler.neutral_mask_frac"],
-        flip_prob=resolved["sampler.flip_prob"],
-        update_assoc=resolved["sampler.update_assoc"],
-        update_states=resolved["sampler.update_states"],
-        update_means=resolved["sampler.update_means"],
-        update_sds=resolved["sampler.update_sds"],
-        update_trans=resolved["sampler.update_trans"],
-        debug_checks=resolved["sampler.debug_checks"],
-    )
+    return _from_keys(SamplerConfig, "sampler", resolved)
 
 
 def to_regression_hyper(resolved: dict[str, Any]) -> RegressionHyper:
-    return RegressionHyper(
-        slab_prec=resolved["prior.slab_prec"],
-        intercept_prec=resolved["prior.intercept_prec"],
-        resid_df=resolved["prior.resid_df"],
-        resid_scale=resolved["prior.resid_scale"],
-        incl_a=resolved["prior.incl_a"],
-        incl_b=resolved["prior.incl_b"],
-        alpha=resolved["prior.alpha"],
-    )
+    return _from_keys(RegressionHyper, "prior", resolved)
 
 
 def to_hmm_hyper(resolved: dict[str, Any]) -> HmmHyper:
-    return HmmHyper(
-        eta_loc=resolved["hmm.eta_loc"],
-        eta_scale=resolved["hmm.eta_scale"],
-        eta_low=resolved["hmm.eta_low"],
-        eta_high=resolved["hmm.eta_high"],
-        prec_shape=resolved["hmm.prec_shape"],
-        prec_rate=resolved["hmm.prec_rate"],
-        sd_cap=resolved["hmm.sd_cap"],
-        trans_conc=resolved["hmm.trans_conc"],
-        amp_floor_tracks_gain=resolved["hmm.amp_floor_tracks_gain"],
-    )
+    return _from_keys(HmmHyper, "hmm", resolved)
 
 
 def to_scenario_spec(resolved: dict[str, Any]) -> ScenarioSpec:
-    clustered = resolved["scenario.clustered"]
-    return ScenarioSpec(
-        n_samples=resolved["scenario.n_samples"],
-        n_genes=resolved["scenario.n_genes"],
-        n_probes=resolved["scenario.n_probes"],
-        n_varied=resolved["scenario.n_varied"],
-        n_assoc=resolved["scenario.n_assoc"],
-        noise_sd=resolved["scenario.noise_sd"],
-        effect_mean=resolved["scenario.effect_mean"],
-        effect_sd=resolved["scenario.effect_sd"],
-        weak_effect_count=0 if clustered else resolved["scenario.weak_effect_count"],
-        weak_effect_mean=resolved["scenario.weak_effect_mean"],
-        clustered=clustered,
-        state_means=resolved["scenario.state_means"],
-        state_sds=resolved["scenario.state_sds"],
-        intercept_sd=resolved["scenario.intercept_sd"],
-        probe_spacing=resolved["scenario.probe_spacing"],
-        fragment_length=resolved["scenario.fragment_length"],
-        seed=resolved["scenario.seed"],
-    )
+    """Clustered scenarios draw every effect from one law, so they plant no
+    weak effects."""
+    fixed = {"weak_effect_count": 0} if resolved["scenario.clustered"] else {}
+    return _from_keys(ScenarioSpec, "scenario", resolved, **fixed)
 
 
 def resolve_out_dir(given: str | None, default_name: str) -> str:

@@ -20,36 +20,8 @@ MIN_TRACE_LEN = 50
 _SERIES_EPS = 1e-5
 
 
-@dataclass(frozen=True)
-class ScalarTrace:
-    """One scalar per retained iteration, with a display label."""
-
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValidationError(f"trace '{self.label}' must be one-dimensional")
-        if values.size < MIN_TRACE_LEN:
-            raise ValidationError(
-                f"trace '{self.label}' has {values.size} points; "
-                f"diagnostics need at least {MIN_TRACE_LEN}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"trace '{self.label}' contains non-finite values")
-        if not isinstance(self.label, str) or not self.label:
-            raise ValidationError("trace label must be a nonempty string")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def _values_of(trace) -> np.ndarray:
-    values = np.asarray(getattr(trace, "values", trace), dtype=np.float64)
+def _values_of(trace: np.ndarray) -> np.ndarray:
+    values = np.asarray(trace, dtype=np.float64)
     if values.ndim != 1:
         raise ValidationError("trace must be a one-dimensional series")
     if not np.all(np.isfinite(values)):
@@ -70,7 +42,7 @@ def spectral_density_at_zero(values: np.ndarray) -> float:
     return float(batch_size * np.var(means, ddof=1))
 
 
-def geweke(trace, frac_first: float = 0.1, frac_last: float = 0.5) -> float:
+def geweke(trace: np.ndarray, frac_first: float = 0.1, frac_last: float = 0.5) -> float:
     """Mean-equality z-score between an early and a late window.
 
     The windows must not overlap and each needs at least ten points. A trace
@@ -145,12 +117,8 @@ class HWResult:
     halfwidth: float
     relative_halfwidth: float
 
-    def __iter__(self):
-        yield self.passes
-        yield self.burn_in_fraction
 
-
-def heidelberger_welch(trace, alpha: float = 0.05) -> HWResult:
+def heidelberger_welch(trace: np.ndarray, alpha: float = 0.05) -> HWResult:
     """Initial-transient test: drop leading tenths until the bridge statistic
     of the remainder clears the level-``alpha`` critical value.
 

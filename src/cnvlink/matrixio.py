@@ -28,8 +28,13 @@ CHECKPOINT_MAGIC = b"CVLK"
 CHECKPOINT_VERSION = 1
 
 #: Checkpoint fields by kind, in declaration order: integers and dicts go in
-#: the header, arrays in their own sections (the annotations are strings).
-_HEADER_FIELDS = tuple(f.name for f in dataclasses.fields(Checkpoint) if f.type != "np.ndarray")
+#: the header (mapped to the type a loaded header must give them), arrays in
+#: their own sections (the annotations are strings).
+_HEADER_FIELDS = {
+    f.name: int if f.type == "int" else dict
+    for f in dataclasses.fields(Checkpoint)
+    if f.type != "np.ndarray"
+}
 _ARRAY_SECTIONS = tuple(f.name for f in dataclasses.fields(Checkpoint) if f.type == "np.ndarray")
 
 
@@ -185,18 +190,32 @@ def load_checkpoint(path: str) -> Checkpoint:
         offset += length
     if not sections:
         raise ValidationError(f"{path}: checkpoint holds no sections")
-    header = json.loads(sections[0].decode("utf-8"))
+    try:
+        header = json.loads(sections[0].decode("utf-8"))
+    except ValueError as err:
+        raise ValidationError(f"{path}: checkpoint header is not JSON: {err}") from None
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: checkpoint header is not a JSON object")
     specs = header.get("arrays", [])
     if len(sections) - 1 != len(specs):
         raise ValidationError(
             f"{path}: checkpoint header lists {len(specs)} arrays but "
             f"{len(sections) - 1} sections follow"
         )
+    for name, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(name), kind):
+            raise ValidationError(
+                f"{path}: checkpoint header key '{name}' is missing or not {kind.__name__}"
+            )
     fields = {name: header[name] for name in _HEADER_FIELDS}
     for spec, blob in zip(specs, sections[1:]):
-        arr = np.frombuffer(blob, dtype=np.dtype(spec["dtype"]))
-        arr = arr.reshape(tuple(spec["shape"])).copy()
-        fields[spec["name"]] = arr
+        try:
+            arr = np.frombuffer(blob, dtype=np.dtype(spec["dtype"]))
+            fields[spec["name"]] = arr.reshape(tuple(spec["shape"])).copy()
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValidationError(
+                f"{path}: checkpoint array section {spec!r} cannot be read: {err}"
+            ) from None
     missing = set(_ARRAY_SECTIONS) - set(fields)
     if missing:
         raise ValidationError(f"{path}: checkpoint missing arrays {sorted(missing)}")

@@ -51,6 +51,7 @@ from .model import (
     NEUTRAL,
     STATE_NAMES,
     NumericalError,
+    SamplerConfig,
     ValidatedContext,
     ValidationError,
 )
@@ -68,8 +69,6 @@ from .priors import (
 
 #: Log-ratio cutoffs mapping raw measurements to initial states 1..4.
 INIT_THRESHOLDS = (-math.inf, -0.5, 0.29, 0.79)
-
-LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -91,9 +90,8 @@ class ChainState:
 
 
 #: The array fields of :class:`ChainState`, which a checkpoint stores under
-#: the same names, and the dtypes a restored state coerces them to.
+#: the same names.
 _STATE_ARRAYS = tuple(f.name for f in dataclasses.fields(ChainState) if f.name != "iteration")
-_STATE_DTYPES = {"assoc": np.int8, "states": np.int8, "persist_counts": np.int64}
 
 
 @dataclass
@@ -114,13 +112,6 @@ class AcceptanceStats:
     trans_proposed: int = 0
     trans_accepted: int = 0
     trans_degenerate: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "AcceptanceStats":
-        return cls(**{k: int(v) for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -156,18 +147,6 @@ class ChainTrace:
         if np.any(self.assoc_counts < 0) or np.any(self.assoc_counts > self.n_kept):
             raise ValidationError("inclusion counts outside [0, n_kept]")
 
-    @property
-    def n_samples(self) -> int:
-        return self.state_counts.shape[0]
-
-    @property
-    def n_genes(self) -> int:
-        return self.assoc_counts.shape[0]
-
-    @property
-    def n_probes(self) -> int:
-        return self.assoc_counts.shape[1]
-
     def scalar_series(self) -> dict[str, np.ndarray]:
         """Named scalar series, one value per retained sample."""
         out: dict[str, np.ndarray] = {"assoc_size": self.assoc_size.astype(np.float64)}
@@ -179,6 +158,15 @@ class ChainTrace:
             out[f"sd_{name}"] = self.sds_samples[:, j]
         out["log_posterior"] = self.log_posterior
         return out
+
+
+#: The trace's arrays, which the trace builder and a checkpoint hold under the
+#: same names; the two of them that count over cells rather than list the
+#: kept samples; and the run coordinates that a trace and a checkpoint copy
+#: from the config.
+_TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(ChainTrace) if f.type == "np.ndarray")
+_COUNT_ARRAYS = ("assoc_counts", "state_counts")
+_RUN_FIELDS = ("iterations", "burn_in", "thin", "seed")
 
 
 @dataclass
@@ -237,13 +225,18 @@ def _trunc_geometric(rng: np.random.Generator, p: float, cap: int) -> int:
 
 
 class _TraceBuilder:
+    """The trace accumulators under their :class:`ChainTrace` names, with
+    ``state_counts`` flat over (row, probe, state) as a checkpoint stores it.
+    The two count arrays cover every kept sample; the per-sample arrays are
+    allocated for the whole run and filled up to ``kept``."""
+
     def __init__(self, n: int, n_genes: int, n_probes: int, n_kept: int) -> None:
         self.assoc_counts = np.zeros((n_genes, n_probes), dtype=np.int64)
-        self.state_counts_flat = np.zeros(n * n_probes * N_STATES, dtype=np.int64)
+        self.state_counts = np.zeros(n * n_probes * N_STATES, dtype=np.int64)
         self._cell_base = np.arange(n * n_probes, dtype=np.int64) * N_STATES
-        self.means = np.empty((n_kept, N_STATES))
-        self.sds = np.empty((n_kept, N_STATES))
-        self.trans = np.empty((n_kept, N_STATES, N_STATES))
+        self.means_samples = np.empty((n_kept, N_STATES))
+        self.sds_samples = np.empty((n_kept, N_STATES))
+        self.trans_samples = np.empty((n_kept, N_STATES, N_STATES))
         self.assoc_size = np.empty(n_kept, dtype=np.int64)
         self.occupancy = np.empty((n_kept, N_STATES), dtype=np.int64)
         self.log_posterior = np.empty(n_kept)
@@ -254,32 +247,30 @@ class _TraceBuilder:
         k = self.kept
         self.assoc_counts += state.assoc
         flat = state.states.ravel().astype(np.int64) - 1
-        self.state_counts_flat[self._cell_base + flat] += 1
-        self.means[k] = state.means
-        self.sds[k] = state.sds
-        self.trans[k] = state.trans
+        self.state_counts[self._cell_base + flat] += 1
+        self.means_samples[k] = state.means
+        self.sds_samples[k] = state.sds
+        self.trans_samples[k] = state.trans
         self.assoc_size[k] = int(state.assoc.sum())
         self.occupancy[k] = np.bincount(flat, minlength=N_STATES)
         self.log_posterior[k] = log_post
         self.kept = k + 1
 
-    def to_trace(self, cfg, stats: AcceptanceStats) -> ChainTrace:
-        n, n_probes = self._shape
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Views of the accumulators by name, the per-sample ones cut at ``kept``."""
+        return {
+            name: getattr(self, name) if name in _COUNT_ARRAYS else getattr(self, name)[: self.kept]
+            for name in _TRACE_ARRAYS
+        }
+
+    def to_trace(self, cfg: SamplerConfig, stats: AcceptanceStats) -> ChainTrace:
+        arrays = self.arrays()
+        arrays["state_counts"] = arrays["state_counts"].reshape(*self._shape, N_STATES)
         return ChainTrace(
-            assoc_counts=self.assoc_counts,
-            state_counts=self.state_counts_flat.reshape(n, n_probes, N_STATES),
-            means_samples=self.means[: self.kept],
-            sds_samples=self.sds[: self.kept],
-            trans_samples=self.trans[: self.kept],
-            assoc_size=self.assoc_size[: self.kept],
-            occupancy=self.occupancy[: self.kept],
-            log_posterior=self.log_posterior[: self.kept],
+            **arrays,
+            **{name: getattr(cfg, name) for name in _RUN_FIELDS},
             n_kept=self.kept,
-            iterations=cfg.iterations,
-            burn_in=cfg.burn_in,
-            thin=cfg.thin,
-            seed=cfg.seed,
-            acceptance=stats.as_dict(),
+            acceptance=dataclasses.asdict(stats),
         )
 
 
@@ -814,103 +805,98 @@ class Kernel:
 
 
 def make_checkpoint(
-    kernel: Kernel,
-    state: ChainState,
-    rng: np.random.Generator,
-    builder: _TraceBuilder,
-    iteration: int,
+    kernel: Kernel, state: ChainState, rng: np.random.Generator, builder: _TraceBuilder
 ) -> Checkpoint:
-    cfg = kernel.cfg
     return Checkpoint(
+        iteration=state.iteration,
+        **{name: getattr(kernel.cfg, name) for name in _RUN_FIELDS},
         **{name: np.array(getattr(state, name)) for name in _STATE_ARRAYS},
-        iteration=iteration,
-        iterations=cfg.iterations,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-        seed=cfg.seed,
         rng_state=rng.bit_generator.state,
         kept=builder.kept,
-        assoc_counts=builder.assoc_counts.copy(),
-        state_counts=builder.state_counts_flat.copy(),
-        means_samples=builder.means[: builder.kept].copy(),
-        sds_samples=builder.sds[: builder.kept].copy(),
-        trans_samples=builder.trans[: builder.kept].copy(),
-        assoc_size=builder.assoc_size[: builder.kept].copy(),
-        occupancy=builder.occupancy[: builder.kept].copy(),
-        log_posterior=builder.log_posterior[: builder.kept].copy(),
-        stats=kernel.stats.as_dict(),
+        **{name: array.copy() for name, array in builder.arrays().items()},
+        stats=dataclasses.asdict(kernel.stats),
     )
 
 
-def _restore(kernel: Kernel, checkpoint: Checkpoint, builder: _TraceBuilder):
+def _fitting(checkpoint: Checkpoint, name: str, like: np.ndarray, part: str) -> np.ndarray:
+    """The checkpoint's array ``name``, which must match the run's ``like``
+    in shape and dtype."""
+    value = getattr(checkpoint, name)
+    if value.shape != like.shape or value.dtype != like.dtype:
+        raise ValidationError(
+            f"checkpoint {part} shape or dtype does not match the run: array '{name}' "
+            f"is {value.dtype} {value.shape}, the run holds {like.dtype} {like.shape}"
+        )
+    return value
+
+
+def _restore(
+    kernel: Kernel,
+    checkpoint: Checkpoint,
+    state: ChainState,
+    rng: np.random.Generator,
+    builder: _TraceBuilder,
+) -> None:
+    """Copy a checkpoint into a freshly initialized state, generator, trace
+    builder and counters. The checkpoint must carry the run's coordinates, a
+    sample count that matches its iteration, and every array in the shape and
+    dtype that the state and the builder hold."""
     cfg = kernel.cfg
-    for name in ("iterations", "burn_in", "thin", "seed"):
+    for name in _RUN_FIELDS:
         if getattr(checkpoint, name) != getattr(cfg, name):
             raise ValidationError(
                 f"checkpoint {name}={getattr(checkpoint, name)} does not match "
                 f"config {name}={getattr(cfg, name)}"
             )
-    if checkpoint.states.shape != (kernel.n, kernel.n_probes):
-        raise ValidationError("checkpoint state shape does not match the data")
-    state = ChainState(
-        **{
-            name: np.array(getattr(checkpoint, name), dtype=_STATE_DTYPES.get(name))
-            for name in _STATE_ARRAYS
-        },
-        iteration=checkpoint.iteration,
-    )
-    k = int(checkpoint.kept)
-    builder.assoc_counts[...] = checkpoint.assoc_counts
-    builder.state_counts_flat[...] = checkpoint.state_counts
-    builder.means[:k] = checkpoint.means_samples
-    builder.sds[:k] = checkpoint.sds_samples
-    builder.trans[:k] = checkpoint.trans_samples
-    builder.assoc_size[:k] = checkpoint.assoc_size
-    builder.occupancy[:k] = checkpoint.occupancy
-    builder.log_posterior[:k] = checkpoint.log_posterior
-    builder.kept = k
-    kernel.stats = AcceptanceStats.from_dict(checkpoint.stats)
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = checkpoint.rng_state
-    return state, rng
+    if not 0 <= checkpoint.iteration <= cfg.iterations:
+        raise ValidationError(
+            f"checkpoint iteration={checkpoint.iteration} lies outside the run's "
+            f"{cfg.iterations} iterations"
+        )
+    retained = len(range(cfg.burn_in, checkpoint.iteration, cfg.thin))
+    if checkpoint.kept != retained:
+        raise ValidationError(
+            f"checkpoint kept={checkpoint.kept} does not match the {retained} samples "
+            f"retained before iteration {checkpoint.iteration}"
+        )
+    for name in _STATE_ARRAYS:
+        setattr(state, name, _fitting(checkpoint, name, getattr(state, name), "state").copy())
+    builder.kept = retained
+    for name, target in builder.arrays().items():
+        target[...] = _fitting(checkpoint, name, target, "trace")
+    try:
+        kernel.stats = AcceptanceStats(**checkpoint.stats)
+    except TypeError as err:
+        raise ValidationError(f"checkpoint stats do not fit the counters: {err}") from None
+    try:
+        rng.bit_generator.state = checkpoint.rng_state
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValidationError(f"checkpoint rng_state is malformed: {err!r}") from None
+    state.iteration = checkpoint.iteration
 
 
 def run_chain(
-    data,
-    hyper,
-    hmm_hyper,
-    cfg,
+    ctx: ValidatedContext,
     *,
-    standardize: bool = True,
     resume: Checkpoint | None = None,
     checkpoint_every: int | None = None,
     on_checkpoint=None,
 ) -> ChainTrace:
-    """Run the full sampler and return the retained trace.
+    """Run the full sampler on a validated context and return the retained
+    trace.
 
-    ``data`` may be an :class:`~cnvlink.model.ObservedData` or an already
-    validated context (in which case the other model arguments are ignored).
     ``resume`` continues a checkpointed run bit-exactly; ``checkpoint_every``
     invokes ``on_checkpoint(checkpoint)`` after every that-many sweeps and at
     the end.
     """
-    from .model import validate
-
-    if isinstance(data, ValidatedContext):
-        ctx = data
-    else:
-        ctx = validate(data, hyper, hmm_hyper, cfg, standardize=standardize)
     kernel = Kernel(ctx)
     cfg = ctx.cfg
     builder = _TraceBuilder(kernel.n, kernel.n_genes, kernel.n_probes, cfg.n_retained)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    state = kernel.init_state(rng)
     if resume is not None:
-        state, rng = _restore(kernel, resume, builder)
-        start = resume.iteration
-    else:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        state = kernel.init_state(rng)
-        start = 0
-    for it in range(start, cfg.iterations):
+        _restore(kernel, resume, state, rng, builder)
+    for it in range(state.iteration, cfg.iterations):
         try:
             kernel.sweep(state, rng)
             if cfg.debug_checks:
@@ -926,8 +912,8 @@ def run_chain(
             and (it + 1) % checkpoint_every == 0
             and (it + 1) < cfg.iterations
         ):
-            on_checkpoint(make_checkpoint(kernel, state, rng, builder, it + 1))
+            on_checkpoint(make_checkpoint(kernel, state, rng, builder))
     trace = builder.to_trace(cfg, kernel.stats)
     if on_checkpoint is not None:
-        on_checkpoint(make_checkpoint(kernel, state, rng, builder, cfg.iterations))
+        on_checkpoint(make_checkpoint(kernel, state, rng, builder))
     return trace

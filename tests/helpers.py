@@ -3,16 +3,21 @@
 These build small validated problem instances, hand-assembled sampler states
 with frozen emission/transition parameters, and a scriptable random generator
 that lets a test force specific proposals through the Metropolis moves while
-delegating everything else to a real generator.
+delegating everything else to a real generator, and checkpoint files broken
+in each way a resume must reject.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 
 from cnvlink.likelihood import stationary_distribution
+from cnvlink.matrixio import load_checkpoint, save_checkpoint
 from cnvlink.model import (
     HmmHyper,
     ObservedData,
@@ -288,3 +293,78 @@ def proposal_u(cum: np.ndarray, target_state: int) -> float:
 
 def assert_frozen(arr: np.ndarray) -> None:
     assert not arr.flags.writeable
+
+
+# ---------------- malformed checkpoints ----------------
+
+
+def _header_case(edit):
+    """Rewrite the JSON header section (the first, after the 5-byte preamble
+    and its 8-byte length) through ``edit(raw bytes) -> raw bytes``."""
+
+    def write(source: str, target: str) -> None:
+        with open(source, "rb") as fh:
+            payload = fh.read()
+        (length,) = struct.unpack_from(">Q", payload, 5)
+        header = edit(payload[13 : 13 + length])
+        with open(target, "wb") as fh:
+            fh.write(payload[:5] + struct.pack(">Q", len(header)) + header + payload[13 + length :])
+
+    return write
+
+
+def _json_edit(edit):
+    def apply(raw: bytes) -> bytes:
+        header = json.loads(raw)
+        edit(header)
+        return json.dumps(header, sort_keys=True).encode("utf-8")
+
+    return apply
+
+
+def _field_case(name: str, change):
+    """Save the checkpoint with field ``name`` replaced by ``change(value)``."""
+
+    def write(source: str, target: str) -> None:
+        checkpoint = load_checkpoint(source)
+        value = change(getattr(checkpoint, name))
+        save_checkpoint(target, dataclasses.replace(checkpoint, **{name: value}))
+
+    return write
+
+
+#: Ways to break a checkpoint file, ``write(source, target)``, each with the
+#: text naming the key or array that the rejection must contain: a header
+#: that cannot be read, an array section that cannot be decoded, and arrays,
+#: counts or counters that do not fit the run.
+MALFORMED_CHECKPOINTS = {
+    "undecodable_header": (_header_case(lambda raw: raw[:-1]), "checkpoint header is not JSON"),
+    "missing_iteration": (
+        _header_case(_json_edit(lambda h: h.pop("iteration"))),
+        "header key 'iteration' is missing",
+    ),
+    "iteration_not_int": (
+        _header_case(_json_edit(lambda h: h.update(iteration="9"))),
+        "header key 'iteration' is missing or not int",
+    ),
+    "unknown_dtype": (
+        _header_case(_json_edit(lambda h: h["arrays"][0].update(dtype="<x9"))),
+        "'name': 'assoc'",
+    ),
+    "blob_does_not_fit_shape": (
+        _header_case(_json_edit(lambda h: h["arrays"][0]["shape"].append(2))),
+        "'name': 'assoc'",
+    ),
+    "state_counts_four_cells_short": (
+        _field_case("state_counts", lambda a: a[:-4]), "array 'state_counts'"
+    ),
+    "means_samples_one_row_short": (
+        _field_case("means_samples", lambda a: a[:-1]), "array 'means_samples'"
+    ),
+    "assoc_one_column_short": (_field_case("assoc", lambda a: a[:, :-1]), "array 'assoc'"),
+    "kept_off_by_one": (_field_case("kept", lambda k: k + 1), "checkpoint kept="),
+    "unknown_counter": (
+        _field_case("stats", lambda s: {**s, "bogus_proposed": 1}), "checkpoint stats"
+    ),
+    "empty_rng_state": (_field_case("rng_state", lambda s: {}), "checkpoint rng_state"),
+}

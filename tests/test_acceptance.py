@@ -30,7 +30,7 @@ from cnvlink.cli import main as cli_main
 from cnvlink.diagnostics import geweke, heidelberger_welch
 from cnvlink.inference import bfdr_select, q_values, summarize
 from cnvlink.likelihood import log_marginal_likelihood
-from cnvlink.model import HmmHyper, RegressionHyper, SamplerConfig
+from cnvlink.model import HmmHyper, RegressionHyper, SamplerConfig, validate
 from cnvlink.priors import mixture_weights, site_log_probs
 from cnvlink.sampler import run_chain
 from cnvlink.simulate import ScenarioSpec, evaluate, simulate_dataset
@@ -88,7 +88,7 @@ def _fit_scenario(spec: ScenarioSpec, alpha: float) -> ScenarioResult:
     data, truth, _ = simulate_dataset(spec)
     cfg = SamplerConfig(seed=spec.seed + 1000, **LONG_RUN)
     start = time.perf_counter()
-    trace = run_chain(data, RegressionHyper(alpha=alpha), HmmHyper(), cfg)
+    trace = run_chain(validate(data, RegressionHyper(alpha=alpha), HmmHyper(), cfg))
     seconds = time.perf_counter() - start
     summary = summarize(trace, fdr_target=0.05)
     metrics = evaluate(summary.selected, truth.assoc, summary.state_modes, truth.states)

@@ -15,6 +15,7 @@ from cnvlink import __version__
 from cnvlink.cli import main
 from cnvlink.matrixio import load_checkpoint, read_json, read_matrix_tsv
 from cnvlink.matrixio import save_checkpoint as real_save_checkpoint
+from helpers import MALFORMED_CHECKPOINTS
 
 SIM_ARGS = [
     "simulate",
@@ -341,6 +342,20 @@ class TestFitResume:
         ])
         assert rc == 1
         assert "checkpoint seed=2 does not match config seed=9" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_exits_1(self, sim_dir, fit_dir, tmp_path, capsys, case):
+        write, named = MALFORMED_CHECKPOINTS[case]
+        bad = str(tmp_path / "bad.bin")
+        write(os.path.join(fit_dir, "checkpoint.bin"), bad)
+        rc = main([
+            *FIT_ARGS, "--data.dir", sim_dir, "--out", str(tmp_path / "out"), "--resume", bad,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"error: {bad}: " in err
+        assert named in err
 
 
 # ---------------- summarize ----------------

@@ -3,6 +3,7 @@ manifest views, and conversion into typed model objects."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,6 @@ from cnvlink.config import (
     load_config_file,
     manifest_view,
     parse_value,
-    require,
     resolve,
     resolve_out_dir,
     to_hmm_hyper,
@@ -25,7 +25,8 @@ from cnvlink.config import (
     to_sampler_config,
     to_scenario_spec,
 )
-from cnvlink.model import HmmHyper, ValidationError
+from cnvlink.model import HmmHyper, RegressionHyper, SamplerConfig, ValidationError
+from cnvlink.simulate import ScenarioSpec
 
 
 class TestParseValue:
@@ -174,19 +175,6 @@ class TestResolve:
             resolve(None, {"nope.nope": 1})
 
 
-class TestRequire:
-    def test_flags_missing_required_keys(self):
-        resolved, _ = resolve()
-        with pytest.raises(
-            ValidationError, match="missing required configuration key\\(s\\): data.dir"
-        ):
-            require(resolved, ["data.dir"])
-
-    def test_passes_once_supplied(self):
-        resolved, _ = resolve(None, {"data.dir": "somewhere"})
-        require(resolved, ["data.dir"])
-
-
 class TestManifestView:
     def test_json_safe_and_spells_out_infinities(self):
         resolved, _ = resolve(None, {"prior.alpha": math.inf})
@@ -265,6 +253,49 @@ class TestTypedConversions:
         spec = to_scenario_spec(resolved)
         assert spec.clustered is True
         assert spec.weak_effect_count == 0
+
+
+#: Each config group and the dataclass its keys build.
+_BUILDERS = {
+    "sampler": (SamplerConfig, to_sampler_config),
+    "prior": (RegressionHyper, to_regression_hyper),
+    "hmm": (HmmHyper, to_hmm_hyper),
+    "scenario": (ScenarioSpec, to_scenario_spec),
+}
+#: The one field that no key sets, so it keeps its default.
+_UNKEYED = {"scenario.trans_matrix"}
+
+
+def _changed(default):
+    """A valid value other than ``default``, of the same kind."""
+    if default is None:  # the 'auto' keys
+        return 0.5
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default * 1.1
+    return tuple(v * 1.1 for v in default)
+
+
+class TestFieldWalk:
+    @pytest.mark.parametrize("group", sorted(_BUILDERS))
+    def test_keys_and_fields_correspond(self, group):
+        cls, _ = _BUILDERS[group]
+        keys = {key for key in SCHEMA if key.startswith(group + ".")}
+        fields = {f"{group}.{field.name}" for field in dataclasses.fields(cls)}
+        assert keys - fields == set(), "keys that name no field"
+        assert fields - keys == _UNKEYED & fields, "fields with no key"
+
+    @pytest.mark.parametrize("group", sorted(_BUILDERS))
+    def test_every_key_reaches_the_built_object(self, group):
+        _, build = _BUILDERS[group]
+        for key in (key for key in SCHEMA if key.startswith(group + ".")):
+            value = _changed(SCHEMA[key].default)
+            resolved, _ = resolve(None, {key: value})
+            built = getattr(build(resolved), key.split(".", 1)[1])
+            assert np.array_equal(np.asarray(built), np.asarray(value)), key
 
 
 class TestResolveOutDir:

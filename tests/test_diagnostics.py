@@ -7,8 +7,6 @@ import pytest
 
 from cnvlink.diagnostics import (
     MIN_TRACE_LEN,
-    HWResult,
-    ScalarTrace,
     cramer_von_mises_cdf,
     geweke,
     heidelberger_welch,
@@ -18,29 +16,26 @@ from cnvlink.model import ValidationError
 
 
 class TestScalarTrace:
+    """What every diagnostic asks of its input: a one-dimensional, finite
+    series, and heidelberger_welch at least MIN_TRACE_LEN points of it."""
+
     def test_minimum_length_enforced(self):
-        with pytest.raises(ValidationError, match="has 49 points; diagnostics need at least 50"):
-            ScalarTrace(np.zeros(49), "short")
-        assert len(ScalarTrace(np.zeros(MIN_TRACE_LEN), "ok")) == 50
+        with pytest.raises(ValidationError, match="needs at least 50 points, got 49"):
+            heidelberger_welch(np.random.default_rng(13).normal(size=MIN_TRACE_LEN - 1))
+        heidelberger_welch(np.random.default_rng(13).normal(size=MIN_TRACE_LEN))
 
     def test_must_be_one_dimensional(self):
-        with pytest.raises(ValidationError, match="must be one-dimensional"):
-            ScalarTrace(np.zeros((10, 10)), "matrix")
+        for diagnostic in (geweke, heidelberger_welch):
+            with pytest.raises(ValidationError, match="must be a one-dimensional series"):
+                diagnostic(np.zeros((100, 10)))
 
     def test_rejects_non_finite(self):
-        values = np.zeros(60)
-        values[3] = np.inf
-        with pytest.raises(ValidationError, match="contains non-finite"):
-            ScalarTrace(values, "inf")
-
-    def test_label_required(self):
-        with pytest.raises(ValidationError, match="label must be a nonempty string"):
-            ScalarTrace(np.zeros(60), "")
-
-    def test_values_frozen(self):
-        trace = ScalarTrace(np.arange(60.0), "t")
-        with pytest.raises(ValueError):
-            trace.values[0] = 5.0
+        values = np.random.default_rng(14).normal(size=1000)
+        for bad in (np.inf, np.nan):
+            values[3] = bad
+            for diagnostic in (geweke, heidelberger_welch):
+                with pytest.raises(ValidationError, match="contains non-finite"):
+                    diagnostic(values)
 
 
 class TestSpectralDensity:
@@ -68,7 +63,7 @@ class TestSpectralDensity:
 class TestGeweke:
     def test_stationary_trace_small_z(self):
         rng = np.random.default_rng(2)
-        z = geweke(ScalarTrace(rng.normal(size=5000), "x"))
+        z = geweke(rng.normal(size=5000))
         assert abs(z) < 3.0
 
     def test_level_shift_detected(self):
@@ -76,11 +71,6 @@ class TestGeweke:
         values = rng.normal(size=2000)
         values[:200] += 10.0
         assert abs(geweke(values)) > 5.0
-
-    def test_accepts_plain_arrays(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=1000)
-        assert geweke(values) == geweke(ScalarTrace(values, "same"))
 
     def test_fraction_bounds(self):
         with pytest.raises(ValidationError, match=r"window fractions must lie in \(0, 1\)"):
@@ -129,7 +119,7 @@ class TestCramerVonMisesCdf:
 class TestHeidelbergerWelch:
     def test_stationary_trace_passes_without_trimming(self):
         rng = np.random.default_rng(7)
-        result = heidelberger_welch(ScalarTrace(rng.normal(size=1000), "x"))
+        result = heidelberger_welch(rng.normal(size=1000))
         assert result.passes
         assert result.burn_in_fraction == 0.0
         assert result.halfwidth > 0.0
@@ -144,17 +134,9 @@ class TestHeidelbergerWelch:
 
     def test_random_walk_fails_at_half(self):
         rng = np.random.default_rng(9)
-        passes, fraction = heidelberger_welch(np.cumsum(rng.normal(size=2000)))
-        assert passes is False
-        assert fraction == 0.5
-
-    def test_result_unpacks_to_verdict_and_fraction(self):
-        rng = np.random.default_rng(10)
-        result = heidelberger_welch(rng.normal(size=500))
-        passes, fraction = result
-        assert isinstance(result, HWResult)
-        assert passes == result.passes
-        assert fraction == result.burn_in_fraction
+        result = heidelberger_welch(np.cumsum(rng.normal(size=2000)))
+        assert result.passes is False
+        assert result.burn_in_fraction == 0.5
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValidationError, match="needs at least 50 points, got 20"):

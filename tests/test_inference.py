@@ -207,7 +207,7 @@ class TestSummarize:
             n=5, n_genes=3, n_probes=4, seed=21,
             cfg=make_cfg(iterations=40, burn_in=10, seed=6),
         )
-        return run_chain(ctx, None, None, None)
+        return run_chain(ctx)
 
     def test_full_summary_coherent(self):
         trace = self.run_trace()

@@ -32,7 +32,7 @@ from cnvlink.matrixio import (
 from cnvlink.model import ValidationError
 from cnvlink.sampler import Checkpoint, run_chain
 
-from helpers import make_cfg, make_ctx
+from helpers import MALFORMED_CHECKPOINTS, make_cfg, make_ctx
 
 
 # ---------------- atomic writes ----------------
@@ -260,11 +260,14 @@ class TestConfigHash:
 
 @pytest.fixture(scope="module")
 def chain_checkpoint(tmp_path_factory):
-    """A real mid-run checkpoint plus the full-run trace it belongs to."""
-    ctx = make_ctx(n=8, n_genes=3, n_probes=6, seed=5)
+    """A real mid-run checkpoint plus the full-run trace it belongs to: a
+    thinned run checkpointed before and after its burn-in."""
     cfg = make_cfg(iterations=20, burn_in=8, thin=2, seed=3)
+    ctx = make_ctx(n=8, n_genes=3, n_probes=6, seed=5, cfg=cfg)
     saved = []
-    trace = run_chain(ctx, None, None, cfg, checkpoint_every=9, on_checkpoint=saved.append)
+    trace = run_chain(ctx, checkpoint_every=9, on_checkpoint=saved.append)
+    assert [cp.iteration for cp in saved] == [9, 18, 20]
+    assert [cp.kept for cp in saved] == [1, 5, 6]
     path = str(tmp_path_factory.mktemp("ckpt") / "checkpoint.bin")
     save_checkpoint(path, saved[0])
     return saved[0], trace, path, ctx, cfg
@@ -294,7 +297,7 @@ class TestCheckpointRoundTrip:
 
     def test_resuming_from_disk_matches_the_uninterrupted_run(self, chain_checkpoint):
         _, full_trace, path, ctx, cfg = chain_checkpoint
-        resumed = run_chain(ctx, None, None, cfg, resume=load_checkpoint(path))
+        resumed = run_chain(ctx, resume=load_checkpoint(path))
         assert resumed.n_kept == full_trace.n_kept
         assert np.array_equal(resumed.assoc_counts, full_trace.assoc_counts)
         assert np.array_equal(resumed.state_counts, full_trace.state_counts)
@@ -416,3 +419,12 @@ class TestCheckpointErrors:
         with pytest.raises(ValidationError, match="checkpoint missing arrays") as exc:
             load_checkpoint(str(bad))
         assert "'assoc'" in str(exc.value)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_is_rejected_by_name(self, chain_checkpoint, tmp_path, case):
+        _, _, path, ctx, _ = chain_checkpoint
+        write, named = MALFORMED_CHECKPOINTS[case]
+        bad = str(tmp_path / "bad.bin")
+        write(path, bad)
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            run_chain(ctx, resume=load_checkpoint(bad))

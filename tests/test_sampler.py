@@ -814,8 +814,7 @@ class TestMeansMove:
         # with burn-in 0 and thin 1 the trace holds the state after each one,
         # and the per-sweep debug check raises on any violation
         cfg = make_cfg(iterations=400, burn_in=0, thin=1, seed=5, debug_checks=True)
-        trace = run_chain(make_ctx(n=4, n_genes=2, n_probes=3, seed=11, cfg=cfg),
-                          None, None, None)
+        trace = run_chain(make_ctx(n=4, n_genes=2, n_probes=3, seed=11, cfg=cfg))
         means, sds = trace.means_samples, trace.sds_samples
         assert trace.n_kept == 400
         assert np.all(means[:, 3] > means[:, 2] + sds[:, 2])
@@ -1145,7 +1144,7 @@ class TestRunChain:
     def test_single_retained_sample(self):
         ctx = make_ctx(n=4, n_genes=2, n_probes=3, seed=1,
                        cfg=make_cfg(iterations=10, burn_in=9, thin=1, seed=0))
-        trace = run_chain(ctx, None, None, None)
+        trace = run_chain(ctx)
         assert trace.n_kept == 1
         assert trace.means_samples.shape == (1, 4)
         assert np.all(trace.state_counts.sum(axis=2) == 1)
@@ -1153,14 +1152,14 @@ class TestRunChain:
     def test_thinning_count(self):
         ctx = make_ctx(n=4, n_genes=2, n_probes=3, seed=1,
                        cfg=make_cfg(iterations=12, burn_in=0, thin=5, seed=0))
-        trace = run_chain(ctx, None, None, None)
+        trace = run_chain(ctx)
         assert trace.n_kept == 3  # iterations 0, 5, 10 after burn-in
 
     def test_deterministic_given_seed(self):
         kw = dict(n=5, n_genes=3, n_probes=4, seed=2)
         cfg = make_cfg(iterations=25, burn_in=10, thin=1, seed=42)
-        a = run_chain(make_ctx(cfg=cfg, **kw), None, None, None)
-        b = run_chain(make_ctx(cfg=cfg, **kw), None, None, None)
+        a = run_chain(make_ctx(cfg=cfg, **kw))
+        b = run_chain(make_ctx(cfg=cfg, **kw))
         assert np.array_equal(a.assoc_counts, b.assoc_counts)
         assert np.array_equal(a.state_counts, b.state_counts)
         assert np.array_equal(a.means_samples, b.means_samples)
@@ -1171,10 +1170,8 @@ class TestRunChain:
 
     def test_seed_changes_the_trace(self):
         kw = dict(n=5, n_genes=3, n_probes=4, seed=2)
-        a = run_chain(make_ctx(cfg=make_cfg(iterations=25, burn_in=10, seed=1), **kw),
-                      None, None, None)
-        b = run_chain(make_ctx(cfg=make_cfg(iterations=25, burn_in=10, seed=2), **kw),
-                      None, None, None)
+        a = run_chain(make_ctx(cfg=make_cfg(iterations=25, burn_in=10, seed=1), **kw))
+        b = run_chain(make_ctx(cfg=make_cfg(iterations=25, burn_in=10, seed=2), **kw))
         assert not (
             np.array_equal(a.means_samples, b.means_samples)
             and np.array_equal(a.state_counts, b.state_counts)
@@ -1183,18 +1180,16 @@ class TestRunChain:
     def test_debug_checks_hold_across_all_moves(self):
         ctx = make_ctx(n=6, n_genes=3, n_probes=5, seed=7,
                        cfg=make_cfg(iterations=40, burn_in=10, seed=3, debug_checks=True))
-        trace = run_chain(ctx, None, None, None)
+        trace = run_chain(ctx)
         assert trace.n_kept == 30
 
     def test_checkpoint_resume_is_bit_exact(self):
         kw = dict(n=5, n_genes=3, n_probes=4, seed=4)
         cfg = make_cfg(iterations=20, burn_in=5, thin=1, seed=11)
         saved = []
-        full = run_chain(make_ctx(cfg=cfg, **kw), None, None, None,
-                         checkpoint_every=7, on_checkpoint=saved.append)
+        full = run_chain(make_ctx(cfg=cfg, **kw), checkpoint_every=7, on_checkpoint=saved.append)
         assert [cp.iteration for cp in saved] == [7, 14, 20]
-        resumed = run_chain(make_ctx(cfg=cfg, **kw), None, None, None,
-                            resume=saved[0])
+        resumed = run_chain(make_ctx(cfg=cfg, **kw), resume=saved[0])
         assert np.array_equal(full.state_counts, resumed.state_counts)
         assert np.array_equal(full.assoc_counts, resumed.assoc_counts)
         assert np.array_equal(full.means_samples, resumed.means_samples)
@@ -1206,23 +1201,21 @@ class TestRunChain:
         kw = dict(n=5, n_genes=3, n_probes=4, seed=4)
         cfg = make_cfg(iterations=20, burn_in=5, thin=1, seed=11)
         saved = []
-        run_chain(make_ctx(cfg=cfg, **kw), None, None, None,
-                  checkpoint_every=7, on_checkpoint=saved.append)
+        run_chain(make_ctx(cfg=cfg, **kw), checkpoint_every=7, on_checkpoint=saved.append)
         other = make_cfg(iterations=20, burn_in=5, thin=1, seed=12)
         with pytest.raises(ValidationError, match="checkpoint seed=11 does not match config seed=12"):
-            run_chain(make_ctx(cfg=other, **kw), None, None, None, resume=saved[0])
+            run_chain(make_ctx(cfg=other, **kw), resume=saved[0])
         longer = make_cfg(iterations=30, burn_in=5, thin=1, seed=11)
         with pytest.raises(ValidationError, match="checkpoint iterations=20"):
-            run_chain(make_ctx(cfg=longer, **kw), None, None, None, resume=saved[0])
+            run_chain(make_ctx(cfg=longer, **kw), resume=saved[0])
 
     def test_resume_rejects_mismatched_shape(self):
         cfg = make_cfg(iterations=20, burn_in=5, thin=1, seed=11)
         saved = []
         run_chain(make_ctx(n=5, n_genes=3, n_probes=4, seed=4, cfg=cfg),
-                  None, None, None, checkpoint_every=7, on_checkpoint=saved.append)
+                  checkpoint_every=7, on_checkpoint=saved.append)
         with pytest.raises(ValidationError, match="checkpoint state shape"):
-            run_chain(make_ctx(n=6, n_genes=3, n_probes=4, seed=4, cfg=cfg),
-                      None, None, None, resume=saved[0])
+            run_chain(make_ctx(n=6, n_genes=3, n_probes=4, seed=4, cfg=cfg), resume=saved[0])
 
     def test_iteration_errors_are_wrapped_with_the_sweep_index(self):
         # Three cells near 3 land in the top state at init, whose prior mean
@@ -1245,7 +1238,7 @@ class TestRunChain:
         cfg = make_cfg(iterations=5, burn_in=0, seed=0, update_states=False)
         ctx = raw_context(y, x, hmm_hyper=hh, cfg=cfg)
         with pytest.raises(NumericalError, match="iteration 0: degenerate truncation"):
-            run_chain(ctx, None, None, None)
+            run_chain(ctx)
 
     def test_fully_masked_data_never_includes(self):
         rng = np.random.default_rng(30)
@@ -1254,7 +1247,7 @@ class TestRunChain:
         cfg = make_cfg(iterations=50, burn_in=10, seed=5,
                        neutral_mask_frac=0.9, update_states=False)
         ctx = raw_context(y, x, cfg=cfg)
-        trace = run_chain(ctx, None, None, None)
+        trace = run_chain(ctx)
         assert not trace.assoc_counts.any()
         acc = trace.acceptance
         assert acc["assoc_noop"] > 0
