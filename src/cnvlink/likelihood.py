@@ -9,13 +9,14 @@ must not be applied twice).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .model import NumericalError, RegressionHyper, ValidationError
+from .model import N_STATES, NumericalError, RegressionHyper, ValidationError
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -123,38 +124,60 @@ def log_marginal_likelihood(
     return collapsed_loglik_from_parts(z, pre.swept[:, 0], float(pre.quad[0]), hyper)
 
 
-def log_emission(x: np.ndarray, xi, means: np.ndarray, sds: np.ndarray) -> float:
-    """Total Gaussian log density of the log-ratios given the state matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    states = np.asarray(xi)
-    if x.shape != states.shape:
-        raise ValidationError(f"x shape {x.shape} does not match states shape {states.shape}")
-    means = np.asarray(means, dtype=np.float64)
-    sds = np.asarray(sds, dtype=np.float64)
-    idx = states - 1
-    zscores = (x - means[idx]) / sds[idx]
-    return float(-0.5 * x.size * LOG_TWO_PI - np.log(sds[idx]).sum() - 0.5 * np.square(zscores).sum())
+def residual_ssq(count, total: float, total_sq: float, mean: float) -> float:
+    """Sum of squared deviations from ``mean`` of ``count`` values whose sum
+    is ``total`` and sum of squares ``total_sq``:
+    ``total_sq - 2 mean total + count mean^2``, clamped at 0 against
+    rounding. Takes scalars."""
+    return max(total_sq - 2.0 * mean * total + count * mean * mean, 0.0)
 
 
-def log_state_prior(xi, trans: np.ndarray, stat_dist: np.ndarray) -> float:
-    """Log probability of the state matrix under the row-wise Markov chain.
+def log_emission(counts, sums, sumsq, means, sds) -> float:
+    """Total Gaussian log density of the log-ratios given the state matrix,
+    from its per-state cell counts, sums and sums of squares (sequences of
+    four)."""
+    total = 0.0
+    for count, s1, s2, mean, sd in zip(counts, sums, sumsq, means, sds):
+        total -= count * (0.5 * LOG_TWO_PI + math.log(sd)) + 0.5 * residual_ssq(
+            count, s1, s2, mean
+        ) / (sd * sd)
+    return total
+
+
+def transition_counts(states: np.ndarray) -> np.ndarray:
+    """Counts of each (state, next state) pair along the rows, as a
+    4 x 4 matrix."""
+    codes = (states[:, :-1].astype(np.int64) - 1) * N_STATES + (
+        states[:, 1:].astype(np.int64) - 1
+    )
+    return np.bincount(codes.ravel(), minlength=N_STATES * N_STATES).reshape(
+        N_STATES, N_STATES
+    )
+
+
+def initial_counts(states: np.ndarray) -> np.ndarray:
+    """Count of each state in the first column."""
+    return np.bincount(states[:, 0] - 1, minlength=N_STATES)
+
+
+def log_state_prior(first_counts, trans_counts, trans, stat_dist) -> float:
+    """Log probability of the state matrix under the row-wise Markov chain,
+    from its first-column state counts and its 4 x 4 transition counts.
 
     Rows are independent; the first probe follows the stationary law and each
     subsequent probe follows the transition row of its left neighbor. A zero
-    transition or initial probability yields ``-inf`` rather than an error.
-    Accepts a full matrix or a single row; a length-one row contributes only
-    its initial-law term.
+    probability that the states use yields ``-inf`` rather than an error; an
+    unused one contributes nothing (0 log 0 = 0).
     """
-    states = np.asarray(xi)
-    if states.ndim == 1:
-        states = states.reshape(1, -1)
-    trans = np.asarray(trans, dtype=np.float64)
-    stat_dist = np.asarray(stat_dist, dtype=np.float64)
-    first = stat_dist[states[:, 0] - 1]
-    steps = trans[states[:, :-1] - 1, states[:, 1:] - 1]
-    if np.any(first <= 0.0) or np.any(steps <= 0.0):
-        return float("-inf")
-    return float(np.log(first).sum() + np.log(steps).sum())
+    counts = np.concatenate([np.ravel(first_counts), np.ravel(trans_counts)]).tolist()
+    probs = np.concatenate([np.ravel(stat_dist), np.ravel(trans)]).tolist()
+    total = 0.0
+    for count, prob in zip(counts, probs):
+        if count:
+            if prob <= 0.0:
+                return float("-inf")
+            total += count * math.log(prob)
+    return total
 
 
 def stationary_distribution(trans: np.ndarray) -> np.ndarray:

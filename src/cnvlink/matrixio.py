@@ -170,6 +170,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         payload = fh.read()
     if payload[:4] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
+    if len(payload) < 5:
+        raise ValidationError(f"{path}: truncated checkpoint: no version byte")
     version = payload[4]
     if version != CHECKPOINT_VERSION:
         raise ValidationError(
@@ -197,6 +199,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: checkpoint header is not a JSON object")
     specs = header.get("arrays", [])
+    if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
+        raise ValidationError(f"{path}: checkpoint header key 'arrays' is not a list of objects")
     if len(sections) - 1 != len(specs):
         raise ValidationError(
             f"{path}: checkpoint header lists {len(specs)} arrays but "
@@ -209,10 +213,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             )
     fields = {name: header[name] for name in _HEADER_FIELDS}
     for spec, blob in zip(specs, sections[1:]):
+        if spec.get("name") not in _ARRAY_SECTIONS:
+            raise ValidationError(f"{path}: checkpoint array section {spec!r} has an unknown name")
         try:
             arr = np.frombuffer(blob, dtype=np.dtype(spec["dtype"]))
             fields[spec["name"]] = arr.reshape(tuple(spec["shape"])).copy()
-        except (KeyError, TypeError, ValueError) as err:
+        # numpy parses a dtype string with a shape prefix by literal_eval,
+        # which raises SyntaxError
+        except (KeyError, TypeError, ValueError, SyntaxError) as err:
             raise ValidationError(
                 f"{path}: checkpoint array section {spec!r} cannot be read: {err}"
             ) from None

@@ -92,11 +92,12 @@ def mixture_weights(s: np.ndarray, alpha: float):
 
 
 def site_log_probs(
-    assoc: np.ndarray, cols: np.ndarray, s: np.ndarray, hyper: RegressionHyper
+    assoc: np.ndarray, cols: np.ndarray | None, s: np.ndarray, hyper: RegressionHyper
 ) -> np.ndarray:
     """Log probability of each row's inclusion flag at each column of
-    ``cols`` given the row's flags at the flanking columns, under the
-    adjacency scores ``s``; shape ``(assoc.shape[0], len(cols))``.
+    ``cols`` (every column when ``cols`` is None) given the row's flags at
+    the flanking columns, under the adjacency scores ``s``; shape
+    ``(assoc.shape[0], len(cols))``.
 
     The site probability is ``fresh * base + copy_left * [left == r] +
     copy_right * [right == r]``, where the fresh component integrates the
@@ -104,15 +105,22 @@ def site_log_probs(
     probability maps to -inf.
     """
     fresh, copy_left, copy_right = mixture_weights(s, hyper.alpha)
-    n_probes = assoc.shape[1]
     base1 = hyper.incl_a / (hyper.incl_a + hyper.incl_b)
     base0 = hyper.incl_b / (hyper.incl_a + hyper.incl_b)
     # a boundary column's missing flank wraps around, under a copy weight of 0
-    r = assoc[:, cols]
+    if cols is None:
+        r = assoc
+        left = np.roll(assoc, 1, axis=1)
+        right = np.roll(assoc, -1, axis=1)
+    else:
+        r = assoc[:, cols]
+        left = assoc[:, cols - 1]
+        right = assoc[:, (cols + 1) % assoc.shape[1]]
+        fresh, copy_left, copy_right = fresh[cols], copy_left[cols], copy_right[cols]
     p = (
-        fresh[cols] * np.where(r == 1, base1, base0)
-        + copy_left[cols] * (assoc[:, cols - 1] == r)
-        + copy_right[cols] * (assoc[:, (cols + 1) % n_probes] == r)
+        fresh * np.where(r == 1, base1, base0)
+        + copy_left * (left == r)
+        + copy_right * (right == r)
     )
     # row-major output, which fixes the order of the callers' sums
     return np.log(p, order="C")
@@ -128,7 +136,7 @@ def log_assoc_prior(
     """Log pseudo-likelihood of the whole inclusion matrix given the states."""
     inc = np.asarray(assoc)
     s = persistence_weights(xi, pos, fragment_length)
-    return float(site_log_probs(inc, np.arange(inc.shape[1]), s, hyper).sum())
+    return float(site_log_probs(inc, None, s, hyper).sum())
 
 
 def _robert_tail(low: float, high: float, rng: np.random.Generator) -> float:

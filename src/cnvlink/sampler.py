@@ -39,10 +39,13 @@ import numpy as np
 
 from .likelihood import (
     collapsed_loglik_from_parts,
+    initial_counts,
     log_emission,
     log_state_prior,
     precompute_responses,
+    residual_ssq,
     stationary_distribution,
+    transition_counts,
 )
 from .model import (
     AMP,
@@ -72,11 +75,68 @@ INIT_THRESHOLDS = (-math.inf, -0.5, 0.29, 0.79)
 
 
 @dataclass
+class Tallies:
+    """Sufficient statistics of the state matrix: per row and state, the
+    cell count (``counts``), the sum of the log-ratios (``sums``) and the sum
+    of their squares (``sumsq``), each n x 4; the 4 x 4 transition counts;
+    and each column's count of neutral cells."""
+
+    counts: np.ndarray
+    sums: np.ndarray
+    sumsq: np.ndarray
+    trans_counts: np.ndarray
+    neutral_counts: np.ndarray
+
+    def totals(self) -> tuple[list, list, list]:
+        """Per-state cell count, sum and sum of squares over all rows."""
+        return tuple(a.sum(axis=0).tolist() for a in (self.counts, self.sums, self.sumsq))
+
+    def recount_row(self, i: int, x_row: np.ndarray, row: np.ndarray) -> None:
+        """Recount row ``i`` from its states ``row`` and log-ratios ``x_row``
+        with the bincounts of :func:`tally_states`, so the row's sums keep
+        the same bits."""
+        idx = row - 1
+        self.counts[i] = np.bincount(idx, minlength=N_STATES)
+        self.sums[i] = np.bincount(idx, weights=x_row, minlength=N_STATES)
+        self.sumsq[i] = np.bincount(idx, weights=np.square(x_row), minlength=N_STATES)
+
+
+def tally_states(x: np.ndarray, states: np.ndarray) -> Tallies:
+    """The :class:`Tallies` of a state matrix, from scratch."""
+    if x.shape != states.shape:
+        raise ValidationError(f"x shape {x.shape} does not match states shape {states.shape}")
+    n = states.shape[0]
+    size = n * N_STATES
+    codes = (np.arange(0, size, N_STATES)[:, None] + (states - 1)).ravel()
+    return Tallies(
+        counts=np.bincount(codes, minlength=size).reshape(n, N_STATES),
+        sums=np.bincount(codes, weights=x.ravel(), minlength=size).reshape(n, N_STATES),
+        sumsq=np.bincount(codes, weights=np.square(x).ravel(), minlength=size).reshape(
+            n, N_STATES
+        ),
+        trans_counts=transition_counts(states),
+        neutral_counts=(states == NEUTRAL).sum(axis=0, dtype=np.int64),
+    )
+
+
+@dataclass
 class ChainState:
-    """Mutable sampler state. ``gene_loglik`` caches each gene's collapsed
-    marginal log likelihood; ``persist_counts[t]`` counts rows whose state
-    persists across gap t. Both caches are maintained incrementally and
-    checked against fresh evaluation in debug sweeps."""
+    """Mutable sampler state, with the caches that the moves keep in step
+    with it. :meth:`Kernel.check_coherence` checks every cache against fresh
+    evaluation, and :func:`_restore` runs it once on resume.
+
+    - ``stat_dist``: the stationary law of ``trans``, recomputed when a
+      transition proposal is accepted. Stored in a checkpoint.
+    - ``gene_loglik``: each gene's collapsed marginal log likelihood, updated
+      on every accepted move that changes its selected columns. Stored.
+    - ``persist_counts[t]``: the number of rows whose state persists across
+      gap t, updated on every accepted state change. Stored.
+    - ``tallies``: the state matrix's sufficient statistics
+      (:class:`Tallies`), updated on every accepted state change; a changed
+      row's float sums are recounted, so they equal a fresh evaluation bit
+      for bit. Not stored: :func:`tally_states` rebuilds them from
+      ``states`` at initialization and on resume.
+    """
 
     assoc: np.ndarray
     states: np.ndarray
@@ -86,12 +146,13 @@ class ChainState:
     stat_dist: np.ndarray
     gene_loglik: np.ndarray
     persist_counts: np.ndarray
+    tallies: Tallies
     iteration: int = 0
 
 
 #: The array fields of :class:`ChainState`, which a checkpoint stores under
 #: the same names.
-_STATE_ARRAYS = tuple(f.name for f in dataclasses.fields(ChainState) if f.name != "iteration")
+_STATE_ARRAYS = tuple(f.name for f in dataclasses.fields(ChainState) if f.type == "np.ndarray")
 
 
 @dataclass
@@ -205,17 +266,6 @@ def _amp_floor_holds(means: np.ndarray, sds: np.ndarray) -> bool:
     return bool(means[AMP - 1] > means[GAIN - 1] + sds[GAIN - 1])
 
 
-def _transition_counts(states: np.ndarray) -> np.ndarray:
-    """Counts of each (state, next state) pair along the rows, as a
-    4 x 4 matrix."""
-    codes = (states[:, :-1].astype(np.int64) - 1) * N_STATES + (
-        states[:, 1:].astype(np.int64) - 1
-    )
-    return np.bincount(codes.ravel(), minlength=N_STATES * N_STATES).reshape(
-        N_STATES, N_STATES
-    )
-
-
 def _trunc_geometric(rng: np.random.Generator, p: float, cap: int) -> int:
     """Geometric(p) on {1, 2, ...}, redrawn until the value is <= cap."""
     while True:
@@ -224,16 +274,58 @@ def _trunc_geometric(rng: np.random.Generator, p: float, cap: int) -> int:
             return k
 
 
+class _HeldCounts:
+    """Counts per (cell, value) over the kept samples, credited lazily: when
+    a cell changes between kept samples, its old value is credited with the
+    samples it was held for, and :meth:`flush` credits every cell's current
+    value up to a given sample count. ``counts`` is flat over (cell, value)."""
+
+    def __init__(self, n_cells: int, n_values: int, lowest: int) -> None:
+        self.counts = np.zeros(n_cells * n_values, dtype=np.int64)
+        self._n_values = n_values
+        self._lowest = lowest
+        # per cell: the last kept value, and the kept sample from which the
+        # cell has held it
+        self._values = None
+        self._since = np.empty(n_cells, dtype=np.int64)
+
+    def _credit(self, cells: np.ndarray, values: np.ndarray, k: int) -> None:
+        """Credit each of ``cells`` with its ``values`` for the samples from
+        its start up to sample ``k``, and restart it there."""
+        self.counts[cells * self._n_values + (values - self._lowest)] += k - self._since[cells]
+        self._since[cells] = k
+
+    def add(self, values: np.ndarray, k: int) -> None:
+        """Take ``values`` as kept sample ``k``."""
+        values = values.ravel()
+        if self._values is None:
+            self._values = values.copy()
+            self._since.fill(k)
+            return
+        cells = np.flatnonzero(values != self._values)
+        if cells.size:
+            self._credit(cells, self._values[cells], k)
+            self._values[cells] = values[cells]
+
+    def flush(self, kept: int) -> None:
+        """Bring ``counts`` up to date with the first ``kept`` samples."""
+        if self._values is not None:
+            self._credit(np.arange(self._since.size), self._values, kept)
+
+
 class _TraceBuilder:
     """The trace accumulators under their :class:`ChainTrace` names, with
     ``state_counts`` flat over (row, probe, state) as a checkpoint stores it.
-    The two count arrays cover every kept sample; the per-sample arrays are
-    allocated for the whole run and filled up to ``kept``."""
+    The two count arrays are credited lazily and cover every kept sample
+    after :meth:`flush`; the per-sample arrays are allocated for the whole
+    run and filled up to ``kept``."""
 
     def __init__(self, n: int, n_genes: int, n_probes: int, n_kept: int) -> None:
-        self.assoc_counts = np.zeros((n_genes, n_probes), dtype=np.int64)
-        self.state_counts = np.zeros(n * n_probes * N_STATES, dtype=np.int64)
-        self._cell_base = np.arange(n * n_probes, dtype=np.int64) * N_STATES
+        self._states = _HeldCounts(n * n_probes, N_STATES, 1)
+        self._assoc = _HeldCounts(n_genes * n_probes, 2, 0)
+        self.state_counts = self._states.counts
+        # a view of the counts of flag value 1; those of value 0 go unread
+        self.assoc_counts = self._assoc.counts[1::2].reshape(n_genes, n_probes)
         self.means_samples = np.empty((n_kept, N_STATES))
         self.sds_samples = np.empty((n_kept, N_STATES))
         self.trans_samples = np.empty((n_kept, N_STATES, N_STATES))
@@ -245,16 +337,20 @@ class _TraceBuilder:
 
     def add(self, state: ChainState, log_post: float) -> None:
         k = self.kept
-        self.assoc_counts += state.assoc
-        flat = state.states.ravel().astype(np.int64) - 1
-        self.state_counts[self._cell_base + flat] += 1
+        self._states.add(state.states, k)
+        self._assoc.add(state.assoc, k)
         self.means_samples[k] = state.means
         self.sds_samples[k] = state.sds
         self.trans_samples[k] = state.trans
         self.assoc_size[k] = int(state.assoc.sum())
-        self.occupancy[k] = np.bincount(flat, minlength=N_STATES)
+        self.occupancy[k] = state.tallies.counts.sum(axis=0)
         self.log_posterior[k] = log_post
         self.kept = k + 1
+
+    def flush(self) -> None:
+        """Credit the count arrays with every kept sample."""
+        self._states.flush(self.kept)
+        self._assoc.flush(self.kept)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Views of the accumulators by name, the per-sample ones cut at ``kept``."""
@@ -264,6 +360,7 @@ class _TraceBuilder:
         }
 
     def to_trace(self, cfg: SamplerConfig, stats: AcceptanceStats) -> ChainTrace:
+        self.flush()
         arrays = self.arrays()
         arrays["state_counts"] = arrays["state_counts"].reshape(*self._shape, N_STATES)
         return ChainTrace(
@@ -316,7 +413,8 @@ class Kernel:
         states = np.ones(x.shape, dtype=np.int8)
         for t in INIT_THRESHOLDS[1:]:
             states += (x > t).astype(np.int8)
-        smoothed = _transition_counts(states) + np.asarray(hh.trans_conc)[None, :]
+        tallies = tally_states(x, states)
+        smoothed = tallies.trans_counts + np.asarray(hh.trans_conc)[None, :]
         trans = smoothed / smoothed.sum(axis=1, keepdims=True)
         stat_dist = stationary_distribution(trans)
         sds = np.empty(N_STATES)
@@ -348,6 +446,7 @@ class Kernel:
             stat_dist=np.asarray(stat_dist),
             gene_loglik=base_ll,
             persist_counts=persistence_counts(states),
+            tallies=tallies,
             iteration=0,
         )
 
@@ -387,8 +486,7 @@ class Kernel:
         """
         cfg = self.cfg
         stats = self.stats
-        neutral_counts = (state.states == NEUTRAL).sum(axis=0)
-        unmasked = neutral_counts <= self.mask_limit
+        unmasked = state.tallies.neutral_counts <= self.mask_limit
         s = self._adjacency(state.persist_counts)
         n_g = _trunc_geometric(rng, cfg.gene_block_p, self.n_genes)
         genes = rng.choice(self.n_genes, size=n_g, replace=False)
@@ -522,6 +620,7 @@ class Kernel:
                     state.persist_counts[m] += delta_right
                 if new_lls is not None:
                     state.gene_loglik[genes_sel] = new_lls
+                self._tally_cell(state, i, m, old, new)
             else:
                 state.states[i, m] = old
 
@@ -562,8 +661,29 @@ class Kernel:
             stats.row_accepted += 1
             state.persist_counts[...] = new_counts
             state.gene_loglik[genes] = new_lls
+            t = state.tallies
+            t.trans_counts += transition_counts(proposal[None]) - transition_counts(old[None])
+            t.neutral_counts += (proposal == NEUTRAL).astype(np.int64) - (old == NEUTRAL)
+            t.recount_row(i, self.x[i], proposal)
         else:
             state.states[i] = old
+
+    def _tally_cell(self, state: ChainState, i: int, m: int, old: int, new: int) -> None:
+        """Move the tallies after cell ``(i, m)`` went from state ``old`` to
+        ``new``: the transition and neutral counts on scalars, then row
+        ``i`` by recounting it."""
+        t = state.tallies
+        row = state.states[i]
+        if m > 0:
+            left = int(row[m - 1]) - 1
+            t.trans_counts[left, old - 1] -= 1
+            t.trans_counts[left, new - 1] += 1
+        if m < self.n_probes - 1:
+            right = int(row[m + 1]) - 1
+            t.trans_counts[old - 1, right] -= 1
+            t.trans_counts[new - 1, right] += 1
+        t.neutral_counts[m] += (new == NEUTRAL) - (old == NEUTRAL)
+        t.recount_row(i, self.x[i], row)
 
     @staticmethod
     def _ffbs_row(x_row: np.ndarray, state: ChainState, u: np.ndarray) -> np.ndarray:
@@ -640,9 +760,7 @@ class Kernel:
         hh = self.hmm_hyper
         floor = hh.amp_floor_tracks_gain
         g, a = GAIN - 1, AMP - 1
-        flat = state.states.ravel().astype(np.int64) - 1
-        counts = np.bincount(flat, minlength=N_STATES)
-        sums = np.bincount(flat, weights=self.x.ravel(), minlength=N_STATES)
+        counts, sums, _ = state.tallies.totals()
         for j in range(N_STATES):
             low = float(hh.eta_low[j])
             high = float(hh.eta_high[j])
@@ -674,13 +792,12 @@ class Kernel:
         hh = self.hmm_hyper
         floor = hh.amp_floor_tracks_gain
         g, a = GAIN - 1, AMP - 1
-        flat = state.states.ravel().astype(np.int64) - 1
-        counts = np.bincount(flat, minlength=N_STATES)
-        resid2 = np.square(self.x.ravel() - state.means[flat])
-        ssq = np.bincount(flat, weights=resid2, minlength=N_STATES)
+        counts, sums, sumsq = state.tallies.totals()
+        means = state.means.tolist()
         for j in range(N_STATES):
             shape = float(hh.prec_shape[j]) + 0.5 * counts[j]
-            rate = float(hh.prec_rate[j]) + 0.5 * ssq[j]
+            ssq = residual_ssq(counts[j], sums[j], sumsq[j], means[j])
+            rate = float(hh.prec_rate[j]) + 0.5 * ssq
             bound = float(hh.sd_cap[j]) ** -2
             if floor and j == g:
                 gap = float(state.means[a] - state.means[g])
@@ -707,7 +824,7 @@ class Kernel:
         cancel against the proposal)."""
         stats = self.stats
         conc = np.asarray(self.hmm_hyper.trans_conc)
-        counts = _transition_counts(state.states)
+        counts = state.tallies.trans_counts
         proposal = np.empty((N_STATES, N_STATES))
         for h in range(N_STATES):
             proposal[h] = rng.dirichlet(conc + counts[h])
@@ -723,9 +840,7 @@ class Kernel:
         if np.any(new_stat <= 0.0):
             stats.trans_degenerate += 1
             return
-        first_counts = np.bincount(
-            state.states[:, 0].astype(np.int64) - 1, minlength=N_STATES
-        )
+        first_counts = initial_counts(state.states)
         log_ratio = float(
             np.sum(first_counts * (np.log(new_stat) - np.log(state.stat_dist)))
         )
@@ -748,12 +863,14 @@ class Kernel:
         total = float(state.gene_loglik.sum())
         total += float(
             site_log_probs(
-                state.assoc, np.arange(self.n_probes),
-                self._adjacency(state.persist_counts), self.hyper,
+                state.assoc, None, self._adjacency(state.persist_counts), self.hyper
             ).sum()
         )
-        total += log_state_prior(state.states, state.trans, state.stat_dist)
-        total += log_emission(self.x, state.states, state.means, state.sds)
+        t = state.tallies
+        total += log_state_prior(
+            initial_counts(state.states), t.trans_counts, state.trans, state.stat_dist
+        )
+        total += log_emission(*t.totals(), state.means, state.sds)
         for j in range(N_STATES):
             total += truncated_normal_logpdf(
                 float(state.means[j]), float(hh.eta_loc[j]), float(hh.eta_scale[j]),
@@ -778,6 +895,10 @@ class Kernel:
                 )
         if not np.array_equal(persistence_counts(state.states), state.persist_counts):
             raise NumericalError("cached persistence counts drifted")
+        fresh = tally_states(self.x, state.states)
+        for f in dataclasses.fields(Tallies):
+            if not np.array_equal(getattr(fresh, f.name), getattr(state.tallies, f.name)):
+                raise NumericalError(f"cached tally '{f.name}' drifted")
         resid = float(np.max(np.abs(state.stat_dist @ state.trans - state.stat_dist)))
         if resid > 1e-10:
             raise NumericalError(f"stationary cache drifted: residual {resid:.3e}")
@@ -807,6 +928,7 @@ class Kernel:
 def make_checkpoint(
     kernel: Kernel, state: ChainState, rng: np.random.Generator, builder: _TraceBuilder
 ) -> Checkpoint:
+    builder.flush()
     return Checkpoint(
         iteration=state.iteration,
         **{name: getattr(kernel.cfg, name) for name in _RUN_FIELDS},
@@ -838,9 +960,11 @@ def _restore(
     builder: _TraceBuilder,
 ) -> None:
     """Copy a checkpoint into a freshly initialized state, generator, trace
-    builder and counters. The checkpoint must carry the run's coordinates, a
-    sample count that matches its iteration, and every array in the shape and
-    dtype that the state and the builder hold."""
+    builder and counters, and rebuild the tallies from the states. The
+    checkpoint must carry the run's coordinates, a sample count that matches
+    its iteration, every array in the shape and dtype that the state and the
+    builder hold, states and flags in range, and caches that match fresh
+    evaluation."""
     cfg = kernel.cfg
     for name in _RUN_FIELDS:
         if getattr(checkpoint, name) != getattr(cfg, name):
@@ -861,6 +985,13 @@ def _restore(
         )
     for name in _STATE_ARRAYS:
         setattr(state, name, _fitting(checkpoint, name, getattr(state, name), "state").copy())
+    if np.any((state.states < 1) | (state.states > N_STATES)) or np.any(
+        (state.assoc < 0) | (state.assoc > 1)
+    ):
+        raise ValidationError(
+            f"checkpoint states must lie in 1..{N_STATES} and inclusion flags in 0..1"
+        )
+    state.tallies = tally_states(kernel.x, state.states)
     builder.kept = retained
     for name, target in builder.arrays().items():
         target[...] = _fitting(checkpoint, name, target, "trace")
@@ -873,6 +1004,10 @@ def _restore(
     except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"checkpoint rng_state is malformed: {err!r}") from None
     state.iteration = checkpoint.iteration
+    try:
+        kernel.check_coherence(state)
+    except NumericalError as err:
+        raise ValidationError(f"checkpoint caches do not match its states: {err}") from None
 
 
 def run_chain(

@@ -9,6 +9,7 @@ in each way a resume must reject.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import struct
@@ -16,7 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from cnvlink.likelihood import stationary_distribution
+from cnvlink.likelihood import (
+    initial_counts,
+    log_emission,
+    log_state_prior,
+    stationary_distribution,
+    transition_counts,
+)
 from cnvlink.matrixio import load_checkpoint, save_checkpoint
 from cnvlink.model import (
     HmmHyper,
@@ -26,7 +33,7 @@ from cnvlink.model import (
     ValidatedContext,
     validate,
 )
-from cnvlink.sampler import ChainState, Kernel
+from cnvlink.sampler import ChainState, Kernel, tally_states
 
 
 # ---------------- data and config builders ----------------
@@ -160,22 +167,24 @@ def build_kernel_state(
         stat_dist=np.asarray(stat),
         gene_loglik=gene_ll,
         persist_counts=persist,
+        tallies=tally_states(kernel.x, states),
     )
     return kernel, state
 
 
 def copy_state(state: ChainState) -> ChainState:
-    return ChainState(
-        assoc=state.assoc.copy(),
-        states=state.states.copy(),
-        trans=state.trans.copy(),
-        means=state.means.copy(),
-        sds=state.sds.copy(),
-        stat_dist=np.array(state.stat_dist),
-        gene_loglik=state.gene_loglik.copy(),
-        persist_counts=state.persist_counts.copy(),
-        iteration=state.iteration,
-    )
+    return copy.deepcopy(state)
+
+
+def emission_of(x, states, means, sds) -> float:
+    """``log_emission`` of a whole state matrix, through its tallies."""
+    return log_emission(*tally_states(np.asarray(x), np.asarray(states)).totals(), means, sds)
+
+
+def state_prior_of(states, trans, stat_dist) -> float:
+    """``log_state_prior`` of a state matrix, or of a single row."""
+    states = np.atleast_2d(states)
+    return log_state_prior(initial_counts(states), transition_counts(states), trans, stat_dist)
 
 
 def hyper_kwargs(hyper: RegressionHyper) -> dict:
@@ -335,8 +344,9 @@ def _field_case(name: str, change):
 
 #: Ways to break a checkpoint file, ``write(source, target)``, each with the
 #: text naming the key or array that the rejection must contain: a header
-#: that cannot be read, an array section that cannot be decoded, and arrays,
-#: counts or counters that do not fit the run.
+#: that cannot be read, an array section that cannot be decoded, arrays,
+#: counts or counters that do not fit the run, and cached values that do not
+#: match the states.
 MALFORMED_CHECKPOINTS = {
     "undecodable_header": (_header_case(lambda raw: raw[:-1]), "checkpoint header is not JSON"),
     "missing_iteration": (
@@ -351,6 +361,10 @@ MALFORMED_CHECKPOINTS = {
         _header_case(_json_edit(lambda h: h["arrays"][0].update(dtype="<x9"))),
         "'name': 'assoc'",
     ),
+    "dtype_with_bad_shape_prefix": (
+        _header_case(_json_edit(lambda h: h["arrays"][0].update(dtype="|01"))),
+        "'name': 'assoc'",
+    ),
     "blob_does_not_fit_shape": (
         _header_case(_json_edit(lambda h: h["arrays"][0]["shape"].append(2))),
         "'name': 'assoc'",
@@ -362,9 +376,25 @@ MALFORMED_CHECKPOINTS = {
         _field_case("means_samples", lambda a: a[:-1]), "array 'means_samples'"
     ),
     "assoc_one_column_short": (_field_case("assoc", lambda a: a[:, :-1]), "array 'assoc'"),
+    "states_out_of_range": (
+        _field_case("states", np.zeros_like), "checkpoint states must lie in 1..4"
+    ),
+    "inclusion_flags_out_of_range": (
+        _field_case("assoc", lambda a: a + 2), "inclusion flags in 0..1"
+    ),
     "kept_off_by_one": (_field_case("kept", lambda k: k + 1), "checkpoint kept="),
     "unknown_counter": (
         _field_case("stats", lambda s: {**s, "bogus_proposed": 1}), "checkpoint stats"
     ),
     "empty_rng_state": (_field_case("rng_state", lambda s: {}), "checkpoint rng_state"),
+    "arrays_not_a_list": (
+        _header_case(_json_edit(lambda h: h.update(arrays=5))),
+        "checkpoint header key 'arrays' is not a list of objects",
+    ),
+    "gene_loglik_raised_by_50": (
+        _field_case("gene_loglik", lambda a: a + 50.0), "cached log likelihood for gene 0 drifted"
+    ),
+    "persist_counts_zeroed": (
+        _field_case("persist_counts", np.zeros_like), "cached persistence counts drifted"
+    ),
 }

@@ -9,7 +9,8 @@ quantity by a deliberately different route than the implementation:
   the n-by-n marginal covariance (the implementation works in the k-by-k
   selected-column space instead).
 * ``assoc_logprior_oracle`` and friends rebuild the spatial selection prior
-  with scalar loops.
+  with scalar loops; ``state_prior_oracle`` and ``emission_oracle`` walk the
+  state matrix cell by cell (the implementation works from its counts).
 * ``enumerate_state_pairs`` / ``enumerate_joint_toy`` brute-force tiny
   posteriors by summing over every latent configuration.
 """
@@ -208,10 +209,8 @@ def full_log_density(
     means = np.asarray(means, dtype=float)
     sds = np.asarray(sds, dtype=float)
     stat_dist = np.asarray(stat_dist, dtype=float)
-    n, n_genes = y.shape
-    n_probes = x.shape[1]
     total = 0.0
-    for g in range(n_genes):
+    for g in range(y.shape[1]):
         sel = np.flatnonzero(assoc[g])
         total += exact_marginal_loglik(
             y[:, g],
@@ -225,15 +224,34 @@ def full_log_density(
         assoc, states, pos, fragment_length,
         incl_a=incl_a, incl_b=incl_b, alpha=alpha,
     )
-    for i in range(n):
-        total += np.log(stat_dist[states[i, 0] - 1])
-        for m in range(1, n_probes):
-            total += np.log(trans[states[i, m - 1] - 1, states[i, m] - 1])
-    for i in range(n):
-        for m in range(n_probes):
-            j = states[i, m] - 1
-            total += norm.logpdf(x[i, m], loc=means[j], scale=sds[j])
+    total += state_prior_oracle(states, trans, stat_dist)
+    total += emission_oracle(x, states, means, sds)
     return float(total)
+
+
+def state_prior_oracle(states, trans, stat_dist) -> float:
+    """Log probability of a state matrix under the row-wise Markov chain,
+    one cell at a time; -inf as soon as a used probability is zero."""
+    states = np.atleast_2d(states)
+    total = 0.0
+    for row in states:
+        steps = [stat_dist[row[0] - 1]]
+        steps += [trans[a - 1, b - 1] for a, b in zip(row[:-1], row[1:])]
+        for p in steps:
+            if p <= 0.0:
+                return float("-inf")
+            total += float(np.log(p))
+    return total
+
+
+def emission_oracle(x, states, means, sds) -> float:
+    """Gaussian log density of every log-ratio under its state's mean and sd,
+    one cell at a time."""
+    total = 0.0
+    for x_row, row in zip(np.atleast_2d(x), np.atleast_2d(states)):
+        for value, state in zip(x_row, row):
+            total += float(norm.logpdf(value, loc=means[state - 1], scale=sds[state - 1]))
+    return total
 
 
 def enumerate_state_pairs(x_row, *, trans, means, sds, stat_dist) -> np.ndarray:

@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 import oracles
 from cnvlink.likelihood import (
     collapsed_loglik_from_parts,
+    initial_counts,
     log_emission,
     log_marginal_likelihood,
     log_state_prior,
     precompute_responses,
+    residual_ssq,
     stationary_distribution,
     sweep_intercept,
+    transition_counts,
 )
 from cnvlink.model import NumericalError, RegressionHyper, ValidationError
-from helpers import hyper_kwargs
+from cnvlink.sampler import tally_states
+from helpers import emission_of, hyper_kwargs, state_prior_of
 
 BASE_HYPER = RegressionHyper(
     slab_prec=10.0, intercept_prec=1e-6, resid_df=3.0, resid_scale=0.05
@@ -272,7 +276,7 @@ class TestMonteCarloAgreement:
 
 class TestLogEmission:
     def test_single_cell_closed_form(self):
-        got = log_emission(
+        got = emission_of(
             np.array([[0.0]]),
             np.array([[2]]),
             np.array([-0.65, 0.0, 0.65, 1.5]),
@@ -287,7 +291,7 @@ class TestLogEmission:
         sds = np.array([0.1, 0.1, 0.1, 0.2])
         x = np.full((3, 4), means[0])
         states = np.ones((3, 4), dtype=int)
-        got = log_emission(x, states, means, sds)
+        got = emission_of(x, states, means, sds)
         assert got == pytest.approx(12 * math.log(1.0 / (0.1 * math.sqrt(2 * math.pi))), rel=1e-12)
 
     def test_additive_over_rows(self):
@@ -296,15 +300,15 @@ class TestLogEmission:
         states = rng.integers(1, 5, size=(4, 3))
         means = np.array([-0.65, 0.0, 0.65, 1.5])
         sds = np.array([0.1, 0.12, 0.1, 0.2])
-        whole = log_emission(x, states, means, sds)
+        whole = emission_of(x, states, means, sds)
         parts = sum(
-            log_emission(x[i : i + 1], states[i : i + 1], means, sds) for i in range(4)
+            emission_of(x[i : i + 1], states[i : i + 1], means, sds) for i in range(4)
         )
         assert whole == pytest.approx(parts, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="does not match states shape"):
-            log_emission(np.zeros((2, 3)), np.ones((3, 2), dtype=int), np.zeros(4), np.ones(4))
+            emission_of(np.zeros((2, 3)), np.ones((3, 2), dtype=int), np.zeros(4), np.ones(4))
 
 
 class TestLogStatePrior:
@@ -323,31 +327,115 @@ class TestLogStatePrior:
         uniform = np.full((4, 4), 0.25)
         stat = np.full(4, 0.25)
         row = np.array([1, 3, 2, 4, 2])
-        assert log_state_prior(row, uniform, stat) == pytest.approx(5 * math.log(0.25), rel=1e-12)
+        assert state_prior_of(row, uniform, stat) == pytest.approx(5 * math.log(0.25), rel=1e-12)
 
     def test_single_probe_row_contributes_initial_term_only(self):
         row = np.array([3])
-        assert log_state_prior(row, self.trans, self.stat) == pytest.approx(
+        assert state_prior_of(row, self.trans, self.stat) == pytest.approx(
             math.log(self.stat[2]), rel=1e-12
         )
 
     def test_constant_row_direct_product(self):
         row = np.array([2, 2, 2])
         expected = math.log(self.stat[1]) + 2 * math.log(self.trans[1, 1])
-        assert log_state_prior(row, self.trans, self.stat) == pytest.approx(expected, rel=1e-12)
+        assert state_prior_of(row, self.trans, self.stat) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_probability_step_gives_minus_inf(self):
         trans = self.trans.copy()
         trans[0, 3] = 0.0
-        got = log_state_prior(np.array([1, 4]), trans, self.stat)
+        got = state_prior_of(np.array([1, 4]), trans, self.stat)
         assert got == float("-inf")
 
     def test_additive_over_rows(self):
         rng = np.random.default_rng(9)
         states = rng.integers(1, 5, size=(5, 6))
-        whole = log_state_prior(states, self.trans, self.stat)
-        parts = sum(log_state_prior(states[i], self.trans, self.stat) for i in range(5))
+        whole = state_prior_of(states, self.trans, self.stat)
+        parts = sum(state_prior_of(states[i], self.trans, self.stat) for i in range(5))
         assert whole == pytest.approx(parts, rel=1e-12)
+
+
+class TestDensitiesFromTallies:
+    """The emission and state-chain densities and the sds move's residual
+    sum of squares work from the state matrix's tallies. They match a direct
+    per-cell evaluation and the cell-by-cell oracles."""
+
+    @staticmethod
+    def draw_states(data, n, n_probes):
+        cells = data.draw(st.lists(
+            st.integers(1, 4), min_size=n * n_probes, max_size=n * n_probes))
+        return np.array(cells, dtype=np.int8).reshape(n, n_probes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_emission_and_residual_ssq_match_direct_evaluation(self, data):
+        # The moment form's rounding error scales with (x / sd)^2 per cell, so
+        # log-ratios and sds stay within the model's range.
+        n, n_probes = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        states = self.draw_states(data, n, n_probes)
+        x = np.array(data.draw(st.lists(
+            st.floats(-2.0, 2.0), min_size=n * n_probes, max_size=n * n_probes
+        ))).reshape(n, n_probes)
+        means = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)))
+        sds = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=4, max_size=4)))
+        counts, sums, sumsq = tally_states(x, states).totals()
+        for j in range(4):
+            cells = x[states == j + 1]
+            direct = float(np.square(cells - means[j]).sum())
+            scale = float(np.square(cells).sum() + cells.size * means[j] ** 2)
+            got = residual_ssq(counts[j], sums[j], sumsq[j], float(means[j]))
+            assert got == pytest.approx(direct, rel=1e-12, abs=1e-12 * scale)
+        idx = states - 1
+        terms = -0.5 * math.log(2 * math.pi) - np.log(sds[idx]) - 0.5 * np.square(
+            (x - means[idx]) / sds[idx]
+        )
+        got = log_emission(counts, sums, sumsq, means, sds)
+        tol = 1e-12 * float(np.abs(terms).sum())
+        assert got == pytest.approx(float(terms.sum()), rel=1e-12, abs=tol)
+        oracle = oracles.emission_oracle(x, states, means, sds)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_state_prior_matches_direct_evaluation(self, data):
+        # zero probabilities are drawn often, so both a used one (-inf) and
+        # an unused one (0 log 0 = 0) occur
+        n, n_probes = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        states = self.draw_states(data, n, n_probes)
+
+        def law(size):
+            w = np.array(data.draw(st.lists(
+                st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=size, max_size=size)))
+            w = w.reshape(-1, 4)
+            w[w.sum(axis=1) == 0.0] = 1.0
+            return w / w.sum(axis=1, keepdims=True)
+
+        trans, stat = law(16), law(4)[0]
+        got = log_state_prior(initial_counts(states), transition_counts(states), trans, stat)
+        first = stat[states[:, 0] - 1]
+        steps = trans[states[:, :-1] - 1, states[:, 1:] - 1]
+        want = oracles.state_prior_oracle(states, trans, stat)
+        if np.any(first == 0.0) or np.any(steps == 0.0):
+            assert got == want == -math.inf
+        else:
+            direct = float(np.log(first).sum() + np.log(steps).sum())
+            assert got == pytest.approx(direct, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_unused_zero_probabilities_contribute_nothing(self):
+        trans = np.array([
+            [0.5, 0.5, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.25, 0.25, 0.25, 0.25],
+        ])
+        stat = np.array([0.0, 1.0, 0.0, 0.0])
+        states = np.array([[2, 2, 2], [2, 2, 2]], dtype=np.int8)
+        got = log_state_prior(initial_counts(states), transition_counts(states), trans, stat)
+        assert got == 0.0
+        first_used = np.array([[1, 2]], dtype=np.int8)
+        assert log_state_prior(
+            initial_counts(first_used), transition_counts(first_used), trans, stat
+        ) == -math.inf
 
 
 class TestStationaryDistribution:

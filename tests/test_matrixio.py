@@ -10,9 +10,12 @@ import math
 import os
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnvlink.matrixio import (
     CHECKPOINT_MAGIC,
@@ -419,6 +422,41 @@ class TestCheckpointErrors:
         with pytest.raises(ValidationError, match="checkpoint missing arrays") as exc:
             load_checkpoint(str(bad))
         assert "'assoc'" in str(exc.value)
+
+    @staticmethod
+    def loads_or_is_rejected(directory: str, payload: bytes) -> None:
+        """``load_checkpoint`` on these bytes returns or raises ValidationError,
+        never another exception."""
+        # a new file each time: rewriting one file in place is slow on some
+        # file systems, which flush the old blocks first
+        fd, damaged = tempfile.mkstemp(dir=directory)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        try:
+            load_checkpoint(damaged)
+        except ValidationError:
+            pass
+        finally:
+            os.remove(damaged)
+
+    def test_every_truncation_loads_or_is_rejected(self, chain_checkpoint):
+        _, _, path, _, _ = chain_checkpoint
+        with open(path, "rb") as fh:
+            payload = fh.read()
+        for length in range(len(payload)):
+            self.loads_or_is_rejected(os.path.dirname(path), payload[:length])
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_single_byte_change_loads_or_is_rejected(self, chain_checkpoint, data):
+        _, _, path, _, _ = chain_checkpoint
+        with open(path, "rb") as fh:
+            payload = bytearray(fh.read())
+        at = data.draw(st.integers(0, len(payload) - 1))
+        # bytes that JSON and numpy's dtype strings give a meaning, or any byte
+        byte = data.draw(st.one_of(st.sampled_from(b'0 9"[]{},:|<'), st.integers(0, 255)))
+        payload[at] = byte
+        self.loads_or_is_rejected(os.path.dirname(path), bytes(payload))
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_malformed_checkpoint_is_rejected_by_name(self, chain_checkpoint, tmp_path, case):

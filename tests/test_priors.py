@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaincc, gammainccinv, log_ndtr
 
@@ -221,6 +223,28 @@ class TestColumnSiteProbs:
             for g in range(5):
                 got = site_log_probs(assoc[g : g + 1], np.array([m]), s, hyper)
                 assert got[0, 0] == full[g, m]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_column_by_slices_matches_the_indexed_route(self, data):
+        # the whole-matrix evaluation (cols=None) takes slices in place of
+        # np.arange(M) indexing; values and their row-major sum are unchanged
+        n_genes = data.draw(st.integers(1, 5))
+        n_probes = data.draw(st.integers(1, 8))
+        cells = data.draw(st.lists(
+            st.integers(0, 1), min_size=n_genes * n_probes, max_size=n_genes * n_probes))
+        assoc = np.array(cells, dtype=np.int8).reshape(n_genes, n_probes)
+        s = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=n_probes - 1, max_size=n_probes - 1)))
+        alpha = data.draw(st.one_of(st.just(math.inf), st.floats(0.05, 50.0)))
+        hyper = make_hyper(
+            incl_a=data.draw(st.floats(0.01, 5.0)), incl_b=data.draw(st.floats(0.01, 5.0)),
+            alpha=alpha,
+        )
+        whole = site_log_probs(assoc, None, s, hyper)
+        indexed = site_log_probs(assoc, np.arange(n_probes), s, hyper)
+        assert np.array_equal(whole, indexed)
+        assert whole.sum() == indexed.sum()
 
 
 class TestLogAssocPrior:

@@ -6,6 +6,7 @@ approached from below (must accept) and above (must reject) with scripted
 acceptance uniforms.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,8 @@ from cnvlink.model import (
     validate,
 )
 from cnvlink.priors import log_assoc_prior, persistence_counts
-from cnvlink.sampler import INIT_THRESHOLDS, Kernel, run_chain
+import cnvlink.sampler as sampler
+from cnvlink.sampler import INIT_THRESHOLDS, Kernel, Tallies, run_chain, tally_states
 from cnvlink.simulate import simulate_dataset
 from helpers import (
     ScriptedRNG,
@@ -1126,6 +1128,17 @@ class TestCoherenceChecks:
         with pytest.raises(NumericalError, match="stationary cache drifted"):
             kernel.check_coherence(state)
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tallies)])
+    def test_tally_drift_detected(self, name):
+        kernel, state = fresh_kernel(bracket_instance())
+        tally = getattr(state.tallies, name)
+        if tally.dtype.kind == "f":
+            tally.flat[0] = np.nextafter(tally.flat[0], math.inf)
+        else:
+            tally.flat[0] += 1
+        with pytest.raises(NumericalError, match=f"cached tally '{name}' drifted"):
+            kernel.check_coherence(state)
+
     def test_amp_floor_violation_leaves_the_support(self):
         kernel = Kernel(make_ctx(n=4, n_genes=2, n_probes=3, seed=11))
         state = kernel.init_state(np.random.default_rng(0))
@@ -1135,6 +1148,102 @@ class TestCoherenceChecks:
         with pytest.raises(NumericalError, match="amp floor violated"):
             kernel.check_coherence(state)
         assert kernel.log_posterior(state) == -math.inf
+
+
+class TestTallies:
+    """Every move leaves the state matrix's tallies equal to a fresh build,
+    bit for bit."""
+
+    MOVES = (
+        "update_assoc", "update_states", "update_state_row",
+        "update_means", "update_sds", "update_trans",
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 5), n_genes=st.integers(1, 3), n_probes=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tallies_equal_a_fresh_build_after_every_move(self, n, n_genes, n_probes, seed):
+        rng = np.random.default_rng(seed)
+        centres = np.array([-1.0, 0.0, 0.58, 1.0])
+        x = centres[rng.integers(0, 4, size=(n, n_probes))] + 0.3 * rng.normal(size=(n, n_probes))
+        ctx = raw_context(
+            rng.normal(size=(n, n_genes)), x, hmm_hyper=wide_hmm_hyper(),
+            cfg=make_cfg(neutral_mask_frac=0.5),
+        )
+        kernel = Kernel(ctx)
+        state = kernel.init_state(rng)
+        for _ in range(15):
+            for move in self.MOVES:
+                getattr(kernel, move)(state, rng)
+                fresh = tally_states(kernel.x, state.states)
+                for f in dataclasses.fields(Tallies):
+                    got = getattr(state.tallies, f.name)
+                    assert np.array_equal(got, getattr(fresh, f.name)), (move, f.name)
+        assert kernel.stats.row_proposed == 15
+
+
+class TestLazyTraceCounts:
+    """The trace's cell counts, credited lazily, equal counts taken eagerly
+    from every kept sample, with and without checkpoints and on resume."""
+
+    KW = dict(n=5, n_genes=3, n_probes=6, seed=4)
+    CFG = make_cfg(iterations=40, burn_in=5, thin=2, seed=11, neutral_mask_frac=1.0)
+
+    def run(self, **kwargs):
+        # even inclusion odds, so flags are added, deleted and swapped
+        hyper = RegressionHyper(incl_a=1.0, incl_b=1.0)
+        return run_chain(make_ctx(cfg=self.CFG, hyper=hyper, **self.KW), **kwargs)
+
+    @staticmethod
+    def eager(kept):
+        states = np.stack([s for s, _ in kept])
+        one_hot = states[..., None] == np.arange(1, 5)
+        return (
+            one_hot.sum(axis=0),
+            np.stack([a for _, a in kept]).sum(axis=0, dtype=np.int64),
+            one_hot.sum(axis=(1, 2)),
+        )
+
+    def test_counts_match_an_eager_reference(self, monkeypatch):
+        kept = []
+        add = sampler._TraceBuilder.add
+
+        def recording_add(builder, state, log_post):
+            kept.append((state.states.copy(), state.assoc.copy()))
+            add(builder, state, log_post)
+
+        monkeypatch.setattr(sampler._TraceBuilder, "add", recording_add)
+        full = self.run()
+        monkeypatch.setattr(sampler._TraceBuilder, "add", add)
+        assert full.n_kept == len(kept) == 18
+        assert len({s.tobytes() for s, _ in kept}) > 5
+        state_counts, assoc_counts, occupancy = self.eager(kept)
+        assert np.array_equal(full.state_counts, state_counts)
+        assert np.array_equal(full.assoc_counts, assoc_counts)
+        assert np.array_equal(full.occupancy, occupancy)
+        assert len({a.tobytes() for _, a in kept}) > 5
+
+        names = [f.name for f in dataclasses.fields(sampler.ChainTrace) if f.type == "np.ndarray"]
+        for every in (1, 7):
+            saved = []
+            trace = self.run(checkpoint_every=every, on_checkpoint=saved.append)
+            for name in names:
+                assert np.array_equal(getattr(trace, name), getattr(full, name)), (every, name)
+            assert len(saved) == len(range(every, 40, every)) + 1
+            for cp in saved:
+                if cp.kept:
+                    counts, inclusions, _ = self.eager(kept[: cp.kept])
+                    assert np.array_equal(cp.state_counts.reshape(counts.shape), counts)
+                    assert np.array_equal(cp.assoc_counts, inclusions)
+                else:
+                    assert not cp.state_counts.any() and not cp.assoc_counts.any()
+                resumed = self.run(resume=cp)
+                for name in names:
+                    assert np.array_equal(getattr(resumed, name), getattr(full, name)), (
+                        every, cp.iteration, name,
+                    )
 
 
 # ---------------- chain driver ----------------
