@@ -188,6 +188,8 @@ def _read_dataset(data_dir: str, fragment_override):
 
 def cmd_fit(args: argparse.Namespace) -> int:
     resolved, provenance = _resolve_config(args)
+    if not 0.0 < resolved["fit.fdr"] < 1.0:
+        raise ValidationError(f"fit.fdr must lie in (0, 1), got {resolved['fit.fdr']}")
     if resolved["data.dir"] is None or not isinstance(resolved["data.dir"], str):
         raise ValidationError("missing required configuration key: data.dir")
     data_dir = resolved["data.dir"]

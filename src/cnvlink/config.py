@@ -106,7 +106,7 @@ SCHEMA: dict[str, SchemaEntry] = {
     "sampler.seed": SchemaEntry(_parse_int, 0, "PCG64 seed"),
     "sampler.gene_block_p": SchemaEntry(_parse_float, 0.4, "geometric rate for genes updated per sweep"),
     "sampler.row_block_p": SchemaEntry(_parse_float, 0.6, "geometric rate for rows updated per column sweep"),
-    "sampler.neutral_mask_frac": SchemaEntry(_parse_float, 0.9, "mask columns neutral in more than this fraction of samples"),
+    "sampler.neutral_mask_frac": SchemaEntry(_parse_float, 0.9, "support constraint: no gene selects a column neutral in more than this fraction of samples"),
     "sampler.flip_prob": SchemaEntry(_parse_float, 0.5, "probability of add/delete versus swap"),
     "sampler.update_assoc": SchemaEntry(_parse_bool, True, "enable the inclusion move"),
     "sampler.update_states": SchemaEntry(_parse_bool, True, "enable the state moves: column Metropolis, then an FFBS row block"),

@@ -230,9 +230,11 @@ class SamplerConfig:
     ``gene_block_p``/``row_block_p`` are the geometric(p) laws (support
     {1, 2, ...}) for how many genes get an association move per sweep and how
     many rows are refreshed in the chosen state column; draws above the
-    respective cap are rejected and redrawn. Columns that are neutral in more
-    than ``neutral_mask_frac`` of samples are excluded from association
-    proposals (existing inclusions there can still be deleted).
+    respective cap are rejected and redrawn. ``neutral_mask_frac`` is a
+    constraint on the posterior's support: no gene may select a column that
+    is neutral in more than that fraction of samples, so such a column is
+    never proposed for inclusion, and a state change that would make an
+    included column so is rejected.
     ``flip_prob`` chooses an add/delete move over a swap. The ``update_*``
     switches freeze individual blocks, for conditional runs and tests.
     """

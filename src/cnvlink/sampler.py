@@ -125,17 +125,22 @@ class ChainState:
     with it. :meth:`Kernel.check_coherence` checks every cache against fresh
     evaluation, and :func:`_restore` runs it once on resume.
 
-    - ``stat_dist``: the stationary law of ``trans``, recomputed when a
-      transition proposal is accepted. Stored in a checkpoint.
-    - ``gene_loglik``: each gene's collapsed marginal log likelihood, updated
-      on every accepted move that changes its selected columns. Stored.
+    - ``stat_dist``: the stationary law of ``trans``, recomputed by
+      :meth:`Kernel.update_trans` when it accepts. Stored in a checkpoint.
+    - ``gene_loglik``: each gene's collapsed marginal log likelihood, moved
+      by :meth:`Kernel.update_assoc` when it changes the gene's selected
+      columns and by :meth:`Kernel._try_row_change` when a state change
+      reaches them. Stored.
     - ``persist_counts[t]``: the number of rows whose state persists across
-      gap t, updated on every accepted state change. Stored.
+      gap t, moved by :meth:`Kernel._try_row_change`. Stored.
     - ``tallies``: the state matrix's sufficient statistics
-      (:class:`Tallies`), updated on every accepted state change; a changed
+      (:class:`Tallies`), moved by :meth:`Kernel._try_row_change`; a changed
       row's float sums are recounted, so they equal a fresh evaluation bit
       for bit. Not stored: :func:`tally_states` rebuilds them from
       ``states`` at initialization and on resume.
+
+    Every change to ``states`` goes through :meth:`Kernel._try_row_change`,
+    whichever move proposes it.
     """
 
     assoc: np.ndarray
@@ -398,6 +403,8 @@ class Kernel:
         self.quad_y = pre.quad
         self.gap_decay = gap_decay(np.diff(self.pos), self.fragment_length)
         self.mask_limit = self.n * self.cfg.neutral_mask_frac
+        # a column can be neutral in more samples than the limit allows
+        self.masking = self.mask_limit < self.n
         # interior sites exist and their weights respond to persistence
         self.local_prior = not math.isinf(self.hyper.alpha) and self.n_probes > 2
         self.stats = AcceptanceStats()
@@ -481,8 +488,9 @@ class Kernel:
         """Metropolis add/delete/swap on a geometric number of genes.
 
         Columns neutral in more than the configured fraction of samples are
-        masked out of selection; entries already included stay deletable (and
-        swappable away) even when masked, so no inclusion can get stuck.
+        masked: the posterior's support holds no inclusion there, so every
+        included column is unmasked, and add/delete and swap-in targets are
+        the unmasked columns.
         """
         cfg = self.cfg
         stats = self.stats
@@ -493,7 +501,7 @@ class Kernel:
         for g in genes:
             row = state.assoc[g]
             if rng.random() < cfg.flip_prob:
-                cand = np.flatnonzero(unmasked | (row == 1))
+                cand = np.flatnonzero(unmasked)
                 if cand.size == 0:
                     stats.assoc_noop += 1
                     continue
@@ -529,12 +537,11 @@ class Kernel:
         """Element-wise Metropolis on one uniformly chosen column.
 
         Proposals come from the left neighbor's transition row (stationary law
-        at the first column). Each element's acceptance ratio multiplies the
-        outcome-likelihood ratio over genes selecting this column, the
-        emission ratio, the Markov ratio for both adjacent transitions, the
-        selection-prior ratio from persistence changes at this column and its
-        neighbors, and the proposal ratio. Elements are processed
-        sequentially, so later ones see earlier acceptances.
+        at the first column), so the incoming transition cancels against the
+        proposal and the proposal's own terms are the emission ratio and the
+        outgoing transition's ratio; :meth:`_try_row_change` adds the rest.
+        Elements are processed sequentially, so later ones see earlier
+        acceptances.
 
         This is the first half of the state move; :meth:`update_state_row`
         is the second, and :meth:`sweep` runs both under ``update_states``.
@@ -543,10 +550,8 @@ class Kernel:
         m = int(rng.integers(self.n_probes))
         n_m = _trunc_geometric(rng, self.cfg.row_block_p, self.n)
         rows = rng.choice(self.n, size=n_m, replace=False)
-        genes_sel = np.flatnonzero(state.assoc[:, m] == 1)
         with np.errstate(divide="ignore"):
             log_trans = np.log(state.trans)
-            log_stat = np.log(state.stat_dist)
         cum_trans = np.cumsum(state.trans, axis=1)
         cum_stat = np.cumsum(state.stat_dist)
         x_col = self.x[:, m]
@@ -556,73 +561,23 @@ class Kernel:
         for i in rows:
             i = int(i)
             old = int(state.states[i, m])
-            if m == 0:
-                cum = cum_stat
-                prop_row = state.stat_dist
-            else:
-                left = int(state.states[i, m - 1])
-                cum = cum_trans[left - 1]
-                prop_row = state.trans[left - 1]
+            cum = cum_stat if m == 0 else cum_trans[int(state.states[i, m - 1]) - 1]
             u = rng.random()
-            new = int(np.searchsorted(cum, u, side="right"))
-            if new >= N_STATES:
-                new = N_STATES - 1
-            new += 1
+            new = min(int(np.searchsorted(cum, u, side="right")), N_STATES - 1) + 1
             stats.state_proposed += 1
             if new == old:
                 stats.state_accepted += 1
                 continue
-            # emission ratio
             zo = (x_col[i] - means[old - 1]) / sds[old - 1]
             zn = (x_col[i] - means[new - 1]) / sds[new - 1]
-            total = (-0.5 * zn * zn - math.log(sds[new - 1])) - (
+            log_ratio = (-0.5 * zn * zn - math.log(sds[new - 1])) - (
                 -0.5 * zo * zo - math.log(sds[old - 1])
             )
-            # Markov ratio: incoming transition (or initial law) and outgoing
-            if m == 0:
-                total += float(log_stat[new - 1] - log_stat[old - 1])
-            else:
-                total += float(log_trans[left - 1, new - 1] - log_trans[left - 1, old - 1])
             if m < last:
                 right = int(state.states[i, m + 1])
-                total += float(log_trans[new - 1, right - 1] - log_trans[old - 1, right - 1])
-            # proposal ratio: reverse over forward, same conditioning row
-            total += float(np.log(prop_row[old - 1]) - np.log(prop_row[new - 1]))
-            # selection-prior ratio from persistence changes
-            delta_left = 0
-            delta_right = 0
-            if m > 0:
-                lv = int(state.states[i, m - 1])
-                delta_left = int(lv == new) - int(lv == old)
-            if m < last:
-                rv = int(state.states[i, m + 1])
-                delta_right = int(rv == new) - int(rv == old)
-            if delta_left or delta_right:
-                new_counts = state.persist_counts.copy()
-                if m > 0:
-                    new_counts[m - 1] += delta_left
-                if m < last:
-                    new_counts[m] += delta_right
-                total += self._selection_delta(state.assoc, state.persist_counts, new_counts)
-            # outcome-likelihood ratio, via tentative mutation
-            state.states[i, m] = new
-            new_lls = None
-            if genes_sel.size:
-                new_lls = np.array([
-                    self._gene_loglik(g, state.assoc[g], state.states) for g in genes_sel
-                ])
-                total += float(np.sum(new_lls - state.gene_loglik[genes_sel]))
-            if math.log(rng.random() or 5e-324) < total:
+                log_ratio += float(log_trans[new - 1, right - 1] - log_trans[old - 1, right - 1])
+            if self._try_row_change(state, i, [m], [new], log_ratio, rng):
                 stats.state_accepted += 1
-                if m > 0:
-                    state.persist_counts[m - 1] += delta_left
-                if m < last:
-                    state.persist_counts[m] += delta_right
-                if new_lls is not None:
-                    state.gene_loglik[genes_sel] = new_lls
-                self._tally_cell(state, i, m, old, new)
-            else:
-                state.states[i, m] = old
 
     def update_state_row(self, state: ChainState, rng: np.random.Generator) -> None:
         """Refresh one uniformly chosen row as a block.
@@ -631,59 +586,75 @@ class Kernel:
         backward-sampling, from the row's emission x Markov conditional
         (stationary law at the first column) under the current parameters.
         Those terms cancel from the independence Metropolis-Hastings ratio,
-        which leaves the change in the collapsed likelihood of every gene
-        that selects a changed column plus the change in the selection prior
-        at the columns flanking each gap whose persistence count moved. A
-        proposal equal to the current row is accepted without an acceptance
-        uniform.
+        so the proposal adds nothing to what :meth:`_try_row_change` scores.
+        A proposal equal to the current row is accepted without an
+        acceptance uniform.
         """
         stats = self.stats
         i = int(rng.integers(self.n))
         proposal = self._ffbs_row(self.x[i], state, rng.random(self.n_probes))
-        old = state.states[i].copy()
-        changed = np.flatnonzero(proposal != old)
+        changed = np.flatnonzero(proposal != state.states[i])
         stats.row_proposed += 1
-        if changed.size == 0:
+        if changed.size == 0 or self._try_row_change(
+            state, i, changed.tolist(), proposal[changed].tolist(), 0.0, rng
+        ):
             stats.row_accepted += 1
-            return
-        new_counts = state.persist_counts + (
-            (proposal[1:] == proposal[:-1]).astype(np.int64) - (old[1:] == old[:-1])
-        )
-        total = self._selection_delta(state.assoc, state.persist_counts, new_counts)
-        genes = np.flatnonzero(state.assoc[:, changed].any(axis=1))
-        state.states[i] = proposal
-        new_lls = np.array(
-            [self._gene_loglik(g, state.assoc[g], state.states) for g in genes],
-            dtype=np.float64,
-        )
-        total += float(np.sum(new_lls - state.gene_loglik[genes]))
-        if math.log(rng.random() or 5e-324) < total:
-            stats.row_accepted += 1
-            state.persist_counts[...] = new_counts
-            state.gene_loglik[genes] = new_lls
-            t = state.tallies
-            t.trans_counts += transition_counts(proposal[None]) - transition_counts(old[None])
-            t.neutral_counts += (proposal == NEUTRAL).astype(np.int64) - (old == NEUTRAL)
-            t.recount_row(i, self.x[i], proposal)
-        else:
-            state.states[i] = old
 
-    def _tally_cell(self, state: ChainState, i: int, m: int, old: int, new: int) -> None:
-        """Move the tallies after cell ``(i, m)`` went from state ``old`` to
-        ``new``: the transition and neutral counts on scalars, then row
-        ``i`` by recounting it."""
-        t = state.tallies
+    def _try_row_change(
+        self, state: ChainState, i: int, cols: list, values: list, log_ratio: float,
+        rng: np.random.Generator,
+    ) -> bool:
+        """Metropolis-Hastings step that sets cells ``cols`` (ascending) of
+        state row ``i`` to ``values``, each unlike the cell's current state;
+        returns whether it was accepted. ``log_ratio`` holds the proposal's
+        own terms. Added to it are the selection prior's change at the gaps
+        whose persistence count moves and the collapsed likelihood's change
+        for every gene that selects a changed column, or ``-inf`` when an
+        included column would be neutral in more than the mask limit's
+        samples. On acceptance the caches move with the row, the counts at
+        the changed gaps and cells only; on rejection the row is restored."""
         row = state.states[i]
-        if m > 0:
-            left = int(row[m - 1]) - 1
-            t.trans_counts[left, old - 1] -= 1
-            t.trans_counts[left, new - 1] += 1
-        if m < self.n_probes - 1:
-            right = int(row[m + 1]) - 1
-            t.trans_counts[old - 1, right] -= 1
-            t.trans_counts[new - 1, right] += 1
-        t.neutral_counts[m] += (new == NEUTRAL) - (old == NEUTRAL)
+        t = state.tallies
+        lo, hi = max(cols[0] - 1, 0), min(cols[-1] + 2, self.n_probes)
+        before = row[lo:hi].tolist()
+        for c, v in zip(cols, values):
+            row[c] = v
+        after = row[lo:hi].tolist()
+        gaps = sorted({gap for c in cols for gap in (c - 1, c) if lo <= gap < hi - 1})
+        spans = [gap - lo for gap in gaps]
+        persist = [(after[k] == after[k + 1]) - (before[k] == before[k + 1]) for k in spans]
+        # one column, the column move's case, is read as a view: no copy
+        sel = state.assoc[:, cols[0]] if len(cols) == 1 else state.assoc[:, cols].any(axis=1)
+        genes = np.flatnonzero(sel)
+        total = log_ratio
+        if self.masking and any(
+            v == NEUTRAL and t.neutral_counts[c] + 1 > self.mask_limit and state.assoc[:, c].any()
+            for c, v in zip(cols, values)
+        ):
+            total = -math.inf
+        else:
+            if any(persist):
+                new_counts = state.persist_counts.copy()
+                new_counts[gaps] += persist
+                total += self._selection_delta(state.assoc, state.persist_counts, new_counts)
+            if genes.size:
+                new_lls = np.array(
+                    [self._gene_loglik(g, state.assoc[g], state.states) for g in genes]
+                )
+                total += float(np.sum(new_lls - state.gene_loglik[genes]))
+        if not math.log(rng.random() or 5e-324) < total:
+            row[lo:hi] = before
+            return False
+        if genes.size:
+            state.gene_loglik[genes] = new_lls
+        for gap, k, d in zip(gaps, spans, persist):
+            state.persist_counts[gap] += d
+            t.trans_counts[before[k] - 1, before[k + 1] - 1] -= 1
+            t.trans_counts[after[k] - 1, after[k + 1] - 1] += 1
+        for c, v in zip(cols, values):
+            t.neutral_counts[c] += (v == NEUTRAL) - (before[c - lo] == NEUTRAL)
         t.recount_row(i, self.x[i], row)
+        return True
 
     @staticmethod
     def _ffbs_row(x_row: np.ndarray, state: ChainState, u: np.ndarray) -> np.ndarray:
@@ -851,14 +822,23 @@ class Kernel:
 
     # ---------------- bookkeeping ----------------
 
+    def _masked_inclusions(self, state: ChainState) -> np.ndarray:
+        """The columns that some gene selects although they are neutral in
+        more than the mask limit's samples, which lie outside the support."""
+        masked = state.tallies.neutral_counts > self.mask_limit
+        return np.flatnonzero(state.assoc.any(axis=0) & masked)
+
     def log_posterior(self, state: ChainState) -> float:
         """Unnormalized joint log density of the current state, for trace
         monitoring. Uses the cached gene likelihoods and the static prior
-        bounds. With the amp floor configured the joint prior is restricted
-        to ``means[amp] > means[gain] + sds[gain]``, so a state outside that
-        support has log density ``-inf``."""
+        bounds. The support holds no inclusion at a masked column, and with
+        the amp floor configured it is restricted to ``means[amp] >
+        means[gain] + sds[gain]``; a state outside it has log density
+        ``-inf``."""
         hh = self.hmm_hyper
-        if hh.amp_floor_tracks_gain and not _amp_floor_holds(state.means, state.sds):
+        if (self.masking and self._masked_inclusions(state).size) or (
+            hh.amp_floor_tracks_gain and not _amp_floor_holds(state.means, state.sds)
+        ):
             return float("-inf")
         total = float(state.gene_loglik.sum())
         total += float(
@@ -885,7 +865,8 @@ class Kernel:
 
     def check_coherence(self, state: ChainState) -> None:
         """Verify the incremental caches against fresh evaluation, and that
-        the state lies inside the amp floor's support when it is configured."""
+        the state lies inside the support: no inclusion at a masked column,
+        and the amp floor when it is configured."""
         for g in range(self.n_genes):
             fresh = self._gene_loglik(g, state.assoc[g], state.states)
             if abs(fresh - float(state.gene_loglik[g])) > 1e-8:
@@ -899,6 +880,15 @@ class Kernel:
         for f in dataclasses.fields(Tallies):
             if not np.array_equal(getattr(fresh, f.name), getattr(state.tallies, f.name)):
                 raise NumericalError(f"cached tally '{f.name}' drifted")
+        masked = self._masked_inclusions(state)
+        if masked.size:
+            c = int(masked[0])
+            g = int(np.flatnonzero(state.assoc[:, c])[0])
+            raise NumericalError(
+                f"inclusion of gene {g} at column {c} lies outside the support: the column "
+                f"is neutral in {state.tallies.neutral_counts[c]} of {self.n} samples, more "
+                f"than neutral_mask_frac={self.cfg.neutral_mask_frac} allows"
+            )
         resid = float(np.max(np.abs(state.stat_dist @ state.trans - state.stat_dist)))
         if resid > 1e-10:
             raise NumericalError(f"stationary cache drifted: residual {resid:.3e}")

@@ -167,7 +167,8 @@ class EvalMetrics:
 
 
 def _categorical_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row given per-row cumulative probabilities."""
+    """Inverse-CDF draw of a state per uniform in ``u``, given cumulative
+    probabilities: one row per uniform, or one row shared by all."""
     idx = (u[:, None] >= cum).sum(axis=1)
     return np.minimum(idx, N_STATES - 1).astype(np.int8) + 1
 
@@ -214,12 +215,7 @@ def simulate_states(spec: ScenarioSpec, rng: np.random.Generator):
     varied = _pick_varied_columns(spec, rng)
     prev = None
     for c in varied:
-        u = rng.random(n)
-        if prev is None:
-            draws = np.minimum((u[:, None] >= cum_stat[None, :]).sum(axis=1), N_STATES - 1)
-            col = draws.astype(np.int8) + 1
-        else:
-            col = _categorical_rows(cum_trans[prev - 1], u)
+        col = _categorical_rows(cum_stat if prev is None else cum_trans[prev - 1], rng.random(n))
         states[:, c] = col
         prev = col.astype(np.int64)
     nonvaried = np.setdiff1d(np.arange(n_probes, dtype=np.int64), varied)
@@ -229,9 +225,7 @@ def simulate_states(spec: ScenarioSpec, rng: np.random.Generator):
     neutral_cum = cum_trans[NEUTRAL - 1]
     for c in extra:
         rows = rng.choice(n, size=n_rows, replace=False)
-        u = rng.random(n_rows)
-        idx = np.minimum((u[:, None] >= neutral_cum[None, :]).sum(axis=1), N_STATES - 1)
-        states[rows, c] = idx.astype(np.int8) + 1
+        states[rows, c] = _categorical_rows(neutral_cum, rng.random(n_rows))
     return states, varied, extra
 
 

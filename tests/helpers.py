@@ -198,9 +198,11 @@ def hyper_kwargs(hyper: RegressionHyper) -> dict:
 
 
 def density_kwargs(kernel: Kernel) -> dict:
-    """Everything the joint-density oracle needs besides the configuration."""
+    """Everything the joint-density oracle needs besides the state and the
+    parameters."""
     h = kernel.hyper
     return dict(
+        neutral_mask_frac=kernel.cfg.neutral_mask_frac,
         pos=kernel.pos,
         fragment_length=kernel.fragment_length,
         intercept_prec=h.intercept_prec,

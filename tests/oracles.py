@@ -198,13 +198,22 @@ def full_log_density(
     incl_a: float,
     incl_b: float,
     alpha: float,
+    neutral_mask_frac: float = 1.0,
 ) -> float:
     """Joint log density of (inclusions, states, observations) given fixed
-    emission/transition parameters. Brute-force scalar loops throughout."""
+    emission/transition parameters. Brute-force scalar loops throughout.
+    The support holds no inclusion at a column whose neutral (state 2)
+    cells number more than ``neutral_mask_frac`` times the sample count;
+    outside it the density is ``-inf``."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     assoc = np.asarray(assoc)
     states = np.asarray(states)
+    n_samples, n_probes = states.shape
+    for m in range(n_probes):
+        n_neutral = sum(1 for i in range(n_samples) if states[i, m] == 2)
+        if n_neutral > neutral_mask_frac * n_samples and any(assoc[:, m]):
+            return float("-inf")
     trans = np.asarray(trans, dtype=float)
     means = np.asarray(means, dtype=float)
     sds = np.asarray(sds, dtype=float)

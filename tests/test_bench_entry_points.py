@@ -1,23 +1,29 @@
 """The benchmark under ``bench/`` reaches into the package by name: the
 traced run wraps functions and ``Kernel`` methods listed in
-``bench/tracing.py``, and the harness and checks import helpers directly.
-These tests read those files (without changing them) and check that every
-name still resolves, so a deletion in ``src/`` cannot silently break
-``bench/run.py``."""
+``bench/tracing.py``, the harness and checks import helpers directly, and
+``bench/workloads.py`` passes configuration keys to ``cnvlink fit`` and
+``cnvlink simulate``. These tests read those files (without changing them)
+and check that every name and key still resolves, so a deletion in ``src/``
+cannot silently break ``bench/run.py``."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+from cnvlink.config import parse_value
 from cnvlink.sampler import Kernel
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def load_bench(name):
+    """The benchmark's module ``bench/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up by name while it is defined
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -34,14 +40,14 @@ def package_imports():
 
 
 def test_traced_functions_resolve():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     for mod_name, fn_name in tracing.FUNCTIONS:
         module = importlib.import_module(f"cnvlink.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"cnvlink.{mod_name}.{fn_name}"
 
 
 def test_traced_kernel_methods_resolve():
-    for name in load_tracing().KERNEL_METHODS:
+    for name in load_bench("tracing").KERNEL_METHODS:
         assert callable(Kernel.__dict__.get(name)), f"Kernel.{name}"
 
 
@@ -59,3 +65,10 @@ def test_harness_and_check_imports_resolve():
     for path, module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{path}: {module}.{name}"
 
+
+
+def test_workload_config_keys_parse():
+    for workload in load_bench("workloads").WORKLOADS.values():
+        keys = {**workload.fit_config(0), **(workload.simulate or {})}
+        for key, value in keys.items():
+            parse_value(key, value)

@@ -237,6 +237,16 @@ class TestFitCommand:
         assert checkpoint.iteration == 240
         assert checkpoint.kept == 100
 
+    @pytest.mark.parametrize("fdr", ["0", "1.0", "1.5"])
+    def test_fdr_outside_the_unit_interval_exits_1_before_sampling(
+        self, sim_dir, tmp_path, capsys, fdr
+    ):
+        out = tmp_path / "out"
+        rc = main([*FIT_ARGS, "--fdr", fdr, "--data.dir", sim_dir, "--out", str(out)])
+        assert rc == 1
+        assert f"fit.fdr must lie in (0, 1), got {float(fdr)}" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
     def test_missing_data_dir_key(self, capsys):
         assert main(["fit"]) == 1
         assert "missing required configuration key: data.dir" in capsys.readouterr().err

@@ -317,23 +317,6 @@ class TestAssocMove:
         assert kernel.stats.add_proposed == 1
         assert kernel.stats.add_accepted == 1
 
-    def test_masked_inclusion_remains_deletable(self):
-        kernel, state = self.masked_kernel()
-        state.assoc[0, 1] = 1
-        state.gene_loglik[0] = kernel._gene_loglik(0, state.assoc[0], state.states)
-        srng = ScriptedRNG(0)
-        srng.push("geometric", 1)
-        srng.push("choice", [0])
-        srng.push("random", 0.4)  # flip branch
-        srng.push("integers", 0)  # candidates = the included column only
-        srng.push("random", 1e-300)
-        kernel.update_assoc(state, srng)
-        srng.assert_exhausted()
-        assert state.assoc[0, 1] == 0
-        assert kernel.stats.delete_proposed == 1
-        assert kernel.stats.delete_accepted == 1
-        kernel.check_coherence(state)
-
     def find_flip(self, kernel, state, lo=-200.0, hi=-0.05):
         for g in range(kernel.n_genes):
             for c in range(kernel.n_probes):
@@ -755,6 +738,93 @@ class TestStateRowMove:
         assert kernel.stats.row_proposed == 1
         assert kernel.stats.row_accepted == 1
         assert_states_equal(state, original)
+
+
+def mask_instance(include):
+    """Four samples over three probes at a mask fraction of 0.5: column 1 is
+    neutral in two samples, the most the mask allows, and gene 0 selects it
+    when ``include`` is set. Making cell (2, 1) neutral would mask it."""
+    states = np.array([[1, 2, 3], [3, 2, 3], [2, 3, 3], [3, 3, 2]], dtype=np.int8)
+    means = np.array([-1.0, 0.0, 0.7, 1.6])
+    x = means[states - 1]
+    x[2, 1] = 0.0  # the emission favours a neutral state there
+    y = np.random.default_rng(40).normal(size=(4, 1))
+    ctx = raw_context(y, x, cfg=make_cfg(neutral_mask_frac=0.5))
+    assoc = np.zeros((1, 3), dtype=np.int8)
+    assoc[0, 1] = int(include)
+    return build_kernel_state(
+        ctx, assoc=assoc, states=states, trans=UNIFORM_TRANS, means=means,
+        sds=np.array([0.3, 0.3, 0.3, 0.4]),
+    )
+
+
+class TestMaskSupport:
+    """No gene selects a column neutral in more than ``neutral_mask_frac`` of
+    the samples: the state moves reject a change that would mask an included
+    column, after drawing their acceptance uniform, and a state outside the
+    support fails the coherence check and has log density -inf."""
+
+    def run_column_move(self, include):
+        kernel, state = mask_instance(include)
+        original = copy_state(state)
+        srng = ScriptedRNG(41)
+        srng.push("integers", 1)
+        srng.push("geometric", 1)
+        srng.push("choice", [2])
+        srng.push("random", proposal_u(np.cumsum(state.trans[1]), 2))
+        srng.push("random", 1e-300)
+        kernel.update_states(state, srng)
+        srng.assert_exhausted()
+        kernel.check_coherence(state)
+        return kernel, state, original
+
+    def run_row_move(self, include, monkeypatch):
+        kernel, state = mask_instance(include)
+        original = copy_state(state)
+        proposal = np.array([2, 2, 3], dtype=np.int8)
+        monkeypatch.setattr(kernel, "_ffbs_row", lambda x_row, st, u: proposal.copy())
+        srng = ScriptedRNG(42)
+        srng.push("integers", 2)
+        srng.push("random", np.zeros(kernel.n_probes))  # backward uniforms
+        srng.push("random", 1e-300)
+        kernel.update_state_row(state, srng)
+        srng.assert_exhausted()
+        kernel.check_coherence(state)
+        return kernel, state, original
+
+    @pytest.mark.parametrize("include", [True, False])
+    def test_column_move_that_masks_an_included_column_is_rejected(self, include):
+        kernel, state, original = self.run_column_move(include)
+        assert kernel.stats.state_proposed == 1
+        if include:
+            assert_states_equal(state, original)
+            assert kernel.stats.state_accepted == 0
+        else:  # the same move at a column no gene selects
+            assert state.states[2, 1] == 2
+            assert kernel.stats.state_accepted == 1
+
+    @pytest.mark.parametrize("include", [True, False])
+    def test_row_move_that_masks_an_included_column_is_rejected(self, include, monkeypatch):
+        kernel, state, original = self.run_row_move(include, monkeypatch)
+        assert kernel.stats.row_proposed == 1
+        if include:
+            assert_states_equal(state, original)
+            assert kernel.stats.row_accepted == 0
+        else:  # the same move at a column no gene selects
+            assert np.array_equal(state.states[2], [2, 2, 3])
+            assert kernel.stats.row_accepted == 1
+
+    def test_inclusion_at_a_masked_column_leaves_the_support(self):
+        kernel, state = mask_instance(include=False)
+        assert math.isfinite(kernel.log_posterior(state))
+        state.assoc[0, 1] = 1
+        state.states[2, 1] = 2
+        state.tallies = tally_states(kernel.x, state.states)
+        state.persist_counts = persistence_counts(state.states)
+        state.gene_loglik[0] = kernel._gene_loglik(0, state.assoc[0], state.states)
+        with pytest.raises(NumericalError, match="inclusion of gene 0 at column 1 lies outside"):
+            kernel.check_coherence(state)
+        assert kernel.log_posterior(state) == -math.inf
 
 
 # ---------------- moves 3 and 4: emission parameters ----------------
@@ -1369,12 +1439,15 @@ class TestRunChain:
 
 
 class TestDetailedBalance:
-    def test_toy_posterior_matches_enumeration(self):
+    @pytest.mark.parametrize("neutral_mask_frac", [1.0, 0.5])
+    def test_toy_posterior_matches_enumeration(self, neutral_mask_frac):
         # One sample, one gene, two probes with frozen emission and
         # transition parameters: the inclusion and state moves must leave the
         # exactly enumerable 64-point conditional law invariant.  At 100k
         # sweeps the Monte Carlo noise floor on total variation sits around
-        # 0.01, a third of the tolerance.
+        # 0.01, a third of the tolerance. At a mask fraction of 0.5 a neutral
+        # column is masked, so the law's support excludes an inclusion at a
+        # neutral column, and the moves must keep to it.
         y = np.array([[0.4]])
         x = np.array([[-0.3, 0.55]])
         hyper = RegressionHyper(
@@ -1382,8 +1455,8 @@ class TestDetailedBalance:
             incl_a=1.0, incl_b=3.0, alpha=2.0,
         )
         cfg = make_cfg(
-            neutral_mask_frac=1.0, flip_prob=0.5, gene_block_p=0.5, row_block_p=0.5,
-            update_means=False, update_sds=False, update_trans=False,
+            neutral_mask_frac=neutral_mask_frac, flip_prob=0.5, gene_block_p=0.5,
+            row_block_p=0.5, update_means=False, update_sds=False, update_trans=False,
         )
         ctx = raw_context(y, x, hyper=hyper, cfg=cfg)
         trans = np.array(
@@ -1421,6 +1494,7 @@ class TestDetailedBalance:
                     intercept_prec=hyper.intercept_prec, slab_prec=hyper.slab_prec,
                     resid_df=hyper.resid_df, resid_scale=hyper.resid_scale,
                     incl_a=hyper.incl_a, incl_b=hyper.incl_b, alpha=hyper.alpha,
+                    neutral_mask_frac=neutral_mask_frac,
                 )
         exact = np.exp(logw - logw.max())
         exact /= exact.sum()
